@@ -419,3 +419,7 @@ def dispatch(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

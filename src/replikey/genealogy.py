@@ -42,6 +42,7 @@ __all__ = [
     "GenealogyWarning",
     "parse",
     "serialize",
+    "serialize_many",
     "record_birth",
     "record_spawn",
     "record_upgrade",
@@ -55,7 +56,7 @@ _TIMESTAMP_RE = re.compile(r"^\d{4}-\d{2}-\d{2} \d{2}:\d{2}:\d{2}[+-]\d{2}:\d{2}
 _DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 _FIELD_SEP_RE = re.compile(r"\s+-\s+")
 _SEP_IN_TEXT_RE = re.compile(r"\s-\s")
-_BATCH_WIDTH = 10
+_BATCH_SPEC = ">10"  # the batch count, right-aligned in a 10-character column
 _INDENT = "  "
 
 
@@ -374,42 +375,85 @@ def parse(text: bytes | str) -> Genealogy:
 # serialization
 
 
-def _event_line(ev: GenealogyEvent, level: int) -> str:
-    ts = ev.timestamp.isoformat(sep=" ")
-    return (
-        f"{_INDENT * level}{ev.kind.value} {ts} - {ev.locale}"
-        f" - {ev.capacity} - {ev.batch_count:>{_BATCH_WIDTH}}"
-    )
+def _upgrade_line(ev: UpgradeEvent, indent: str) -> str:
+    line = f"{indent}u"
+    if ev.donor_has_provenance:
+        line += " p"
+    if ev.donor.provenance is not None:
+        line += f" {ev.donor.provenance.descriptor()}"
+    return line
 
 
-def _record_lines(g: Genealogy, level: int, lines: list[str]) -> None:
-    for ev in g.events:
-        if isinstance(ev, GenealogyEvent):
-            lines.append(_event_line(ev, level))
+def _record_lines(g: Genealogy, line_cache: list) -> list[str]:
+    """The lines of ``g``, walked depth first with an explicit stack.
+
+    ``line_cache[level]`` maps ``id(event)`` to the event's line at that
+    nesting level, so an event shared by several donor blocks or records
+    is rendered once.  Ids are stable only while the events are alive:
+    the caller keeps every record of the batch referenced for as long
+    as the cache is in use.
+    """
+    lines: list[str] = []
+    append = lines.append
+    if g.provenance is not None:
+        append(f"p {g.provenance.descriptor()}")
+    stack = [iter(g.events)]
+    while stack:
+        level = len(stack) - 1
+        if level == len(line_cache):
+            line_cache.append({})
+        seen = line_cache[level]
+        indent = _INDENT * level
+        for ev in stack[-1]:
+            key = id(ev)
+            line = seen.get(key)
+            if isinstance(ev, UpgradeEvent):
+                if line is None:
+                    line = seen[key] = _upgrade_line(ev, indent)
+                append(line)
+                stack.append(iter(ev.donor.events))
+                break
+            if line is None:
+                # inline rather than in a helper: every line of a freshly
+                # parsed log misses the cache and comes through here
+                line = seen[key] = (
+                    f"{indent}{ev.kind._value_} {ev.timestamp.isoformat(' ')}"
+                    f" - {ev.locale} - {ev.capacity} - {ev.batch_count:{_BATCH_SPEC}}"
+                )
+            append(line)
         else:
-            prefix = f"{_INDENT * level}u"
-            if ev.donor_has_provenance:
-                prefix += " p"
-            if ev.donor.provenance is not None:
-                prefix += f" {ev.donor.provenance.descriptor()}"
-            lines.append(prefix)
-            _record_lines(ev.donor, level + 1, lines)
+            stack.pop()
+    return lines
 
 
-def serialize(g: Genealogy) -> str:
+def serialize(g: Genealogy, *, _line_cache: list | None = None) -> str:
     """Canonical text for a genealogy; ``parse(serialize(g))`` equals ``g``.
 
     Requires every embedded donor record to carry a descriptor or at
     least one event (a completely empty donor has no written form the
-    parser accepts back).
+    parser accepts back).  ``_line_cache`` is the batch cache passed in
+    by ``serialize_many``.
     """
-    lines: list[str] = []
-    if g.provenance is not None:
-        lines.append(f"p {g.provenance.descriptor()}")
-    _record_lines(g, 0, lines)
+    lines = _record_lines(g, [] if _line_cache is None else _line_cache)
     if not lines:
         return ""
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the joined text
+    return "\n".join(lines)
+
+
+def serialize_many(records) -> list[str]:
+    """``[serialize(g) for g in records]``, rendering each event object
+    once per nesting level for the whole batch.
+
+    Records that share history (clones of one parent, keys upgraded by
+    the same donors) share most of their lines: only distinct events are
+    formatted, and each repeat of a line costs a dictionary lookup.
+    """
+    records = list(records)  # keeps every event alive, so ids stay unique
+    line_cache: list = []
+    # each record still goes through serialize(), so anything that wraps
+    # or times serialize sees every record of the batch
+    return [serialize(g, _line_cache=line_cache) for g in records]
 
 
 # ---------------------------------------------------------------------------

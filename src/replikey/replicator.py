@@ -627,7 +627,7 @@ def _header_to_json(h: gen.ProvenanceHeader) -> str:
     return h.descriptor()
 
 
-def _key_to_json(key: KeyState) -> dict:
+def _key_to_json(key: KeyState, genealogy: str) -> dict:
     return {
         "version": _header_to_json(key.version),
         "locale": key.locale,
@@ -644,7 +644,7 @@ def _key_to_json(key: KeyState) -> dict:
             }
             for path, entry in key.files
         },
-        "genealogy": gen.serialize(key.genealogy),
+        "genealogy": genealogy,
     }
 
 
@@ -672,6 +672,11 @@ def _key_from_json(doc: dict) -> KeyState:
 
 def inventory_to_json(inventory) -> str:
     """Serialize an inventory as a deterministic JSON document."""
+    devices = tuple(inventory)
+    # an upgraded key embeds its donor's log, so the keys share lines
+    genealogies = iter(
+        gen.serialize_many(d.contents.genealogy for d in devices if d.contents is not None)
+    )
     doc = {
         "devices": [
             {
@@ -680,9 +685,11 @@ def inventory_to_json(inventory) -> str:
                 "capacity_kib": d.capacity_kib,
                 "boot_source": d.is_boot_source,
                 "foreign_data": d.foreign_data,
-                "key": None if d.contents is None else _key_to_json(d.contents),
+                "key": None
+                if d.contents is None
+                else _key_to_json(d.contents, next(genealogies)),
             }
-            for d in inventory
+            for d in devices
         ]
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -487,13 +487,20 @@ def sim_config_from_json(text: str) -> SimConfig:
     if "base_version" in doc:
         kwargs["base_version"] = gen.ProvenanceHeader.from_descriptor(doc["base_version"])
     if "releases" in doc:
-        kwargs["releases"] = tuple(
-            (
-                as_fraction(item["time_s"]),
-                gen.ProvenanceHeader.from_descriptor(item["version"]),
+        releases = []
+        for index, item in enumerate(doc["releases"]):
+            if not isinstance(item, dict):
+                raise ValueError(f"release {index}: expected an object")
+            for name in ("time_s", "version"):
+                if name not in item:
+                    raise ValueError(f"release {index}: missing field {name!r}")
+            releases.append(
+                (
+                    as_fraction(item["time_s"]),
+                    gen.ProvenanceHeader.from_descriptor(item["version"]),
+                )
             )
-            for item in doc["releases"]
-        )
+        kwargs["releases"] = tuple(releases)
     if "start_time" in doc:
         kwargs["start_time"] = datetime.datetime.fromisoformat(doc["start_time"])
     return SimConfig(**kwargs)
@@ -502,6 +509,8 @@ def sim_config_from_json(text: str) -> SimConfig:
 def sim_result_to_json(result: SimResult) -> str:
     """Deterministic JSON rendering of a result; rationals are printed
     with six significant digits, genealogies in their text format."""
+    key_ids = sorted(result.genealogies)
+    texts = gen.serialize_many(result.genealogies[key_id] for key_id in key_ids)
     doc = {
         "n_participants": result.n_participants,
         "ports": result.ports,
@@ -513,8 +522,6 @@ def sim_result_to_json(result: SimResult) -> str:
         "per_round_seeded": list(result.per_round_seeded),
         "per_round_bytes": list(result.per_round_bytes),
         "version_coverage": dict(sorted(result.version_coverage.items())),
-        "genealogies": {
-            key_id: gen.serialize(g) for key_id, g in sorted(result.genealogies.items())
-        },
+        "genealogies": dict(zip(key_ids, texts)),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -3,11 +3,14 @@ codes, diagnostics, and byte-level determinism."""
 
 import datetime
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import replikey
 from replikey import genealogy as gen
 from replikey import integrity as integ
 from replikey import replicator as rep
@@ -198,6 +201,23 @@ def test_entry_is_wired(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_python_m_replikey_runs_the_cli(capsys):
+    code, expected, _ = run(capsys, "genealogy-stats", SAMPLE)
+    assert code == 0
+    package_root = str(Path(replikey.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "replikey", "genealogy-stats", SAMPLE],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected
+
+
 # ---------------------------------------------------------------------------
 # simulations
 
@@ -265,6 +285,27 @@ def test_sim_redeploy_without_releases_fails(capsys, tmp_path):
     assert code == 1
     assert str(config) in err
     assert out == ""
+
+
+_V11 = "Demo Live 1.1 2013-06-01 en_US.UTF-8 - stable - amd64"
+
+
+@pytest.mark.parametrize(
+    "release, problem",
+    [
+        ({"time_s": 0}, "missing field 'version'"),
+        ({"version": _V11}, "missing field 'time_s'"),
+        (_V11, "expected an object"),
+    ],
+)
+def test_sim_redeploy_bad_release_names_it(capsys, tmp_path, release, problem):
+    good = {"time_s": 0, "version": _V11}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"n_participants": 4, "releases": [good, release]}))
+    code, out, err = run(capsys, "sim-redeploy", "--config", str(config))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {config}: release 1: {problem}\n"
 
 
 def test_sim_redeploy_bad_json_names_line(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the genealogy log format: parsing, canonical serialization,
 record operations, and lineage statistics."""
 
+import dataclasses
 import datetime
 import warnings
 from pathlib import Path
@@ -25,6 +26,7 @@ from replikey.genealogy import (
     record_spawn,
     record_upgrade,
     serialize,
+    serialize_many,
     stats,
 )
 
@@ -658,3 +660,107 @@ def test_child_never_has_spawns_after_final_birth(parent, b):
     assert own_spawn_count(child) == 0
     assert child.events[-1] == b
     assert child.events[:-1] == parent.events
+
+
+# ---------------------------------------------------------------------------
+# batch serialization over shared structure
+
+
+def _reference_lines(g: Genealogy, level: int, lines: list) -> None:
+    """The canonical layout, spelled out field by field."""
+    pad = "  " * level
+    for ev in g.events:
+        if isinstance(ev, UpgradeEvent):
+            line = pad + "u"
+            if ev.donor_has_provenance:
+                line += " p"
+            h = ev.donor.provenance
+            if h is not None:
+                line += f" {h.label} {h.build_date} {h.locale} - {h.suite} - {h.arch}"
+            lines.append(line)
+            _reference_lines(ev.donor, level + 1, lines)
+            continue
+        minutes = int(ev.timestamp.utcoffset().total_seconds()) // 60
+        offset = f"{'-' if minutes < 0 else '+'}{abs(minutes) // 60:02d}:{abs(minutes) % 60:02d}"
+        tag = "i" if ev.kind is EventKind.BIRTH else "s"
+        lines.append(
+            f"{pad}{tag} {ev.timestamp:%Y-%m-%d %H:%M:%S}{offset} - {ev.locale}"
+            f" - {ev.capacity} - {str(ev.batch_count).rjust(10)}"
+        )
+
+
+def _reference_text(g: Genealogy) -> str:
+    lines = []
+    h = g.provenance
+    if h is not None:
+        lines.append(f"p {h.label} {h.build_date} {h.locale} - {h.suite} - {h.arch}")
+    _reference_lines(g, 0, lines)
+    return "".join(line + "\n" for line in lines)
+
+
+@st.composite
+def _shared_histories(draw):
+    """Records grown from each other by the record operations, drawing on
+    a few event objects, so events and whole donors recur across records
+    and at several nesting levels."""
+    births = draw(
+        st.lists(_event.map(lambda e: dataclasses.replace(e, kind=EventKind.BIRTH)),
+                 min_size=1, max_size=3)
+    )
+    spawns = draw(
+        st.lists(_event.map(lambda e: dataclasses.replace(e, kind=EventKind.SPAWN)),
+                 min_size=1, max_size=3)
+    )
+    pool = [Genealogy(provenance=draw(st.none() | _header))]
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        op = draw(st.sampled_from(("birth", "spawn", "upgrade", "child")))
+        host = draw(st.sampled_from(pool))
+        b = draw(st.sampled_from(births))
+        if op == "spawn":
+            pool.append(record_spawn(host, draw(st.sampled_from(spawns))))
+        elif op == "child":
+            pool.append(child_genealogy(host, b))
+        elif op == "upgrade":
+            donor = draw(st.sampled_from(pool))
+            if donor.provenance is None and not donor.events:
+                donor = record_birth(donor, b)  # an empty donor has no text form
+            pool.append(record_upgrade(host, donor, b))
+        else:
+            pool.append(record_birth(host, b))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+
+
+@given(_shared_histories())
+def test_serialize_many_matches_serialize_property(records):
+    texts = serialize_many(records)
+    assert texts == [serialize(g) for g in records]
+    assert texts == [_reference_text(g) for g in records]
+    for g, text in zip(records, texts):
+        assert _parse_quiet(text) == g
+
+
+def test_serialize_many_accepts_any_iterable():
+    g = Genealogy(events=(birth("2013-02-17 13:01:38+00:00"),))
+    host = record_upgrade(g, g, birth("2013-02-18 09:00:00+00:00"))
+    assert serialize_many(iter([g, host])) == [serialize(g), serialize(host)]
+    assert serialize_many([]) == []
+
+
+def _nesting_levels(text: str) -> list:
+    """Each line's indentation in levels (two spaces each)."""
+    return [(len(line) - len(line.lstrip(" "))) // 2 for line in text.splitlines()]
+
+
+def test_serialize_5000_nested_upgrades():
+    depth = 5000
+    g = Genealogy(events=(birth("2013-02-17 13:01:38+00:00"),))
+    for _ in range(depth):
+        g = Genealogy(events=(UpgradeEvent(donor=g),))
+    inner = g.events[0].donor
+    # lengths and levels only: dataclass equality recurses once per level
+    for text, top in zip(serialize_many([g, inner]), (depth, depth - 1)):
+        lines = text.splitlines()
+        assert len(lines) == top + 1
+        assert _nesting_levels(text) == list(range(top + 1))
+        assert all(line.lstrip(" ") == "u" for line in lines[:-1])
+        assert lines[-1].lstrip(" ").startswith("i 2013-02-17 13:01:38+00:00 - ")
