@@ -25,12 +25,15 @@ import random
 from dataclasses import dataclass, replace
 
 from . import genealogy as gen
-from .replicator import (
-    FileClass,
-    FileEntry,
-    ImageManifest,
-    KeyState,
-    _upgraded_files,
+from .replicator import FileClass, FileEntry, KeyState, apply_transfer
+from .spreadsim import (
+    DEFAULT_CAPACITY_KIB,
+    _DEFAULT_VERSION,
+    _EPOCH,
+    _IMAGE_BYTES,
+    _SQUASHFS,
+    _key_ids,
+    _manifest,
 )
 
 __all__ = [
@@ -330,9 +333,6 @@ class MeetingResult:
     flagged: int | None = None
 
 
-_EPOCH = datetime.datetime(2013, 1, 1, tzinfo=datetime.timezone.utc)
-
-
 def _default_now(a: KeyState, b: KeyState) -> datetime.datetime:
     stamps = [
         ev.timestamp
@@ -341,35 +341,6 @@ def _default_now(a: KeyState, b: KeyState) -> datetime.datetime:
         if isinstance(ev, gen.GenealogyEvent)
     ]
     return max(stamps, default=_EPOCH)
-
-
-def _upgrade_pair(src: KeyState, tgt: KeyState, now) -> tuple:
-    """The logical effect of src upgrading tgt: same file and genealogy
-    rules as a planned upgrade, without the transfer-time model."""
-    src_after = replace(
-        src,
-        genealogy=gen.record_spawn(
-            src.genealogy,
-            gen.GenealogyEvent(
-                gen.EventKind.SPAWN, now, src.locale, src.capacity_kib, 1
-            ),
-        ),
-    )
-    rebirth = gen.GenealogyEvent(
-        gen.EventKind.BIRTH, now, src.locale, tgt.capacity_kib, 1
-    )
-    upgraded = KeyState(
-        version=src.version,
-        files=_upgraded_files(src, tgt),
-        image_bytes=src.image_bytes,
-        genealogy=gen.record_upgrade(tgt.genealogy, src_after.genealogy, rebirth),
-        capacity_kib=tgt.capacity_kib,
-        boot_path=src.boot_path,
-        locale=src.locale,
-        share_prefix=src.share_prefix,
-        compromised=src.compromised,
-    )
-    return src_after, upgraded
 
 
 def _newer(a: KeyState, b: KeyState) -> int:
@@ -411,8 +382,8 @@ def meeting(
     if protocol is Protocol.NEWEST_BOOTS:
         booter, subject = newer, 1 - newer
         if keys[booter].version != keys[subject].version:
-            keys[booter], keys[subject] = _upgrade_pair(
-                keys[booter], keys[subject], now
+            keys[booter], keys[subject] = apply_transfer(
+                keys[booter], keys[subject], keys[subject].capacity_kib, now
             )
         return MeetingResult(_PASS, booter, tuple(keys))
 
@@ -429,16 +400,16 @@ def meeting(
         if not verdict.passed:
             return MeetingResult(verdict, booter, tuple(keys), subject)
         if keys[0].version != keys[1].version:
-            keys[newer], keys[1 - newer] = _upgrade_pair(
-                keys[newer], keys[1 - newer], now
+            keys[newer], keys[1 - newer] = apply_transfer(
+                keys[newer], keys[1 - newer], keys[1 - newer].capacity_kib, now
             )
         return MeetingResult(verdict, booter, tuple(keys))
 
     if protocol is Protocol.TWO_KEY_OWNER:
         booter, subject = newer, 1 - newer
         if keys[booter].version != keys[subject].version:
-            keys[booter], keys[subject] = _upgrade_pair(
-                keys[booter], keys[subject], now
+            keys[booter], keys[subject] = apply_transfer(
+                keys[booter], keys[subject], keys[subject].capacity_kib, now
             )
         reference = trusted
         if reference is None:
@@ -502,41 +473,23 @@ class TrustSimResult:
         )
 
 
-_BASE_VERSION = gen.ProvenanceHeader(
-    "Demo Live 1.0", datetime.date(2013, 1, 1), "en_US.UTF-8", "stable", "amd64"
+_TAMPERED_VERSION = replace(
+    _DEFAULT_VERSION, label="Demo Live 1.1", build_date=datetime.date(2013, 2, 1)
 )
-_TAMPERED_VERSION = gen.ProvenanceHeader(
-    "Demo Live 1.1", datetime.date(2013, 2, 1), "en_US.UTF-8", "stable", "amd64"
-)
-_SIM_WHITELIST = frozenset({"/live/filesystem.squashfs"})
-_SIM_CAPACITY_KIB = 7_812_500
 
 
 def _sim_population(config: TrustSimConfig) -> dict:
     """The starting keys: clean ones from the base image, tampered ones
     from a fake newer release with one modified file."""
-    base = ImageManifest(
-        version=_BASE_VERSION,
-        whitelist=_SIM_WHITELIST,
-        image_bytes=2_700_000_000,
-    )
-    fake = ImageManifest(
-        version=_TAMPERED_VERSION,
-        whitelist=_SIM_WHITELIST,
-        image_bytes=2_700_000_000,
-    )
-    width = max(3, len(str(config.population - 1)))
+    base = _manifest(_DEFAULT_VERSION, _IMAGE_BYTES)
+    fake = _manifest(_TAMPERED_VERSION, _IMAGE_BYTES)
     keys = {}
-    for i in range(config.population):
-        key_id = f"key-{i:0{width}d}"
+    for i, key_id in enumerate(_key_ids(config.population)):
         if i < config.tampered_initial:
-            key = KeyState.from_manifest(fake, _SIM_CAPACITY_KIB, _EPOCH)
-            key = tamper(
-                key,
-                TamperAction(TamperKind.MODIFY_FILE, "/live/filesystem.squashfs"),
-            )
+            key = KeyState.from_manifest(fake, DEFAULT_CAPACITY_KIB, _EPOCH)
+            key = tamper(key, TamperAction(TamperKind.MODIFY_FILE, _SQUASHFS))
         else:
-            key = KeyState.from_manifest(base, _SIM_CAPACITY_KIB, _EPOCH)
+            key = KeyState.from_manifest(base, DEFAULT_CAPACITY_KIB, _EPOCH)
         keys[key_id] = key
     return keys
 

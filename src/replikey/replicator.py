@@ -38,6 +38,7 @@ __all__ = [
     "TargetNotBlank",
     "OverwriteNotConfirmed",
     "CapacityExceeded",
+    "apply_transfer",
     "select_target",
     "classify_paths",
     "plan_clone",
@@ -466,7 +467,7 @@ def plan_upgrade(
         raise CapacityExceeded(
             f"upgrade staging needs {staging_peak} bytes on a {capacity}-byte key"
         )
-    final_files = dict(_upgraded_files(src_key, tgt_key))
+    final_files = _upgraded_files(src_key, tgt_key.files)
     final_bytes = sum(e.size_bytes for e in final_files.values())
     if final_bytes > capacity:
         raise CapacityExceeded(
@@ -492,9 +493,10 @@ def share_merge(source_share: Mapping, target_share: Mapping) -> dict:
     return merged
 
 
-def _upgraded_files(src_key: KeyState, tgt_key: KeyState) -> dict:
-    """File set of the target after an upgrade: source system, merged
-    share, target personal."""
+def _upgraded_files(src_key: KeyState, tgt_files: tuple) -> dict:
+    """File set of the target after the source writes itself onto it:
+    source system, merged share, target personal.  ``tgt_files`` is the
+    target key's file tuple, empty for blank media."""
     out = {
         path: entry
         for path, entry in src_key.files
@@ -504,10 +506,10 @@ def _upgraded_files(src_key: KeyState, tgt_key: KeyState) -> dict:
         p: e for p, e in src_key.files if e.file_class is FileClass.SHARE
     }
     tgt_share = {
-        p: e for p, e in tgt_key.files if e.file_class is FileClass.SHARE
+        p: e for p, e in tgt_files if e.file_class is FileClass.SHARE
     }
     out.update(share_merge(src_share, tgt_share))
-    for path, entry in tgt_key.files:
+    for path, entry in tgt_files:
         if entry.file_class is FileClass.PERSONAL:
             out[path] = entry
     return _with_boot_file(src_key, out)
@@ -523,15 +525,48 @@ def _with_boot_file(src_key: KeyState, entries: dict) -> dict:
     return entries
 
 
-def _spawn_event(key: KeyState, now: datetime.datetime) -> gen.GenealogyEvent:
-    return gen.GenealogyEvent(gen.EventKind.SPAWN, now, key.locale, key.capacity_kib, 1)
+def apply_transfer(
+    src: KeyState, tgt: KeyState | None, capacity_kib: int, now: datetime.datetime
+) -> tuple:
+    """The booted key ``src`` writes itself onto a device of
+    ``capacity_kib``: a fresh clone when ``tgt`` is None (blank media),
+    otherwise an upgrade of the key ``tgt``.  Returns (src_after,
+    new_key).
+
+    The source logs a spawn.  The new key gets the source's system
+    files, both share directories merged (the source wins), the
+    target's personal files, and a birth at ``now`` that either starts a
+    child of the source's log or closes an upgrade embedding it.  Plans,
+    bandwidth and staging space are the caller's concern; only the
+    final files are held to ``capacity_kib`` (CapacityExceeded)."""
+    spawn = gen.GenealogyEvent(gen.EventKind.SPAWN, now, src.locale, src.capacity_kib, 1)
+    src_after = replace(src, genealogy=gen.record_spawn(src.genealogy, spawn))
+    birth = gen.GenealogyEvent(gen.EventKind.BIRTH, now, src.locale, capacity_kib, 1)
+    if tgt is None:
+        genealogy = gen.child_genealogy(src_after.genealogy, birth)
+    else:
+        genealogy = gen.record_upgrade(tgt.genealogy, src_after.genealogy, birth)
+    new_key = KeyState(
+        version=src.version,
+        files=_upgraded_files(src, () if tgt is None else tgt.files),
+        image_bytes=src.image_bytes,
+        genealogy=genealogy,
+        capacity_kib=capacity_kib,
+        boot_path=src.boot_path,
+        locale=src.locale,
+        share_prefix=src.share_prefix,
+        compromised=src.compromised,
+    )
+    return src_after, new_key
 
 
 def execute_plan(plan: ClonePlan, inventory, now: datetime.datetime):
     """Apply a plan to an inventory, returning the updated inventory.
 
     Revalidates against current state first, so a stale plan fails
-    before anything changes; the input inventory is never mutated."""
+    before anything changes; the input inventory is never mutated.  A
+    plan is stale when its copy set is no longer exactly the source's
+    system and share paths."""
     devices = _check_inventory(inventory)
     if plan.source == plan.target:
         raise RefusalTargetIsSource(f"plan targets its own source {plan.source!r}")
@@ -540,16 +575,19 @@ def execute_plan(plan: ClonePlan, inventory, now: datetime.datetime):
     if source_dev.contents is None:
         raise ReplicationError(f"source device {plan.source!r} holds no key")
     src_key = source_dev.contents
-    src_files = dict(src_key.files)
+    tgt_key = target_dev.contents
 
-    missing = [p for p in plan.copy_set if p not in src_files]
-    if missing:
+    changed = plan.copy_set ^ frozenset(_copy_entries(src_key))
+    if changed:
         raise ReplicationError(
-            f"plan is stale: source no longer has {sorted(missing)[0]!r}"
+            f"plan is stale: the source's system and share files changed at {min(changed)!r}"
         )
 
+    capacity = target_dev.capacity_kib * KIB
+    final_files = _upgraded_files(src_key, () if tgt_key is None else tgt_key.files)
+    final_bytes = sum(e.size_bytes for e in final_files.values())
     if plan.mode is CloneMode.FRESH:
-        if target_dev.contents is not None:
+        if tgt_key is not None:
             raise TargetNotBlank(
                 f"device {plan.target!r} already holds a key; plan an upgrade instead"
             )
@@ -557,62 +595,21 @@ def execute_plan(plan: ClonePlan, inventory, now: datetime.datetime):
             raise OverwriteNotConfirmed(
                 f"device {plan.target!r} holds non-key data; confirm overwrite explicitly"
             )
-        entries = _with_boot_file(src_key, {p: src_files[p] for p in plan.copy_set})
-        total = sum(e.size_bytes for e in entries.values())
-        if total > target_dev.capacity_kib * KIB:
+        if final_bytes > capacity:
             raise CapacityExceeded(
-                f"clone needs {total} bytes, target holds {target_dev.capacity_kib * KIB}"
+                f"clone needs {final_bytes} bytes, target holds {capacity}"
             )
-        src_after = replace(
-            src_key,
-            genealogy=gen.record_spawn(src_key.genealogy, _spawn_event(src_key, now)),
-        )
-        birth = gen.GenealogyEvent(
-            gen.EventKind.BIRTH, now, src_key.locale, target_dev.capacity_kib, 1
-        )
-        child = KeyState(
-            version=src_key.version,
-            files=entries,
-            image_bytes=src_key.image_bytes,
-            genealogy=gen.child_genealogy(src_after.genealogy, birth),
-            capacity_kib=target_dev.capacity_kib,
-            boot_path=src_key.boot_path,
-            locale=src_key.locale,
-            share_prefix=src_key.share_prefix,
-            compromised=src_key.compromised,
-        )
-        new_target = replace(target_dev, contents=child, foreign_data=False)
     else:
-        if target_dev.contents is None:
+        if tgt_key is None:
             raise ReplicationError(f"target device {plan.target!r} holds no key to upgrade")
-        tgt_key = target_dev.contents
-        final_files = _upgraded_files(src_key, tgt_key)
-        final_bytes = sum(e.size_bytes for e in final_files.values())
-        if tgt_key.used_bytes() + plan.bytes_total > target_dev.capacity_kib * KIB:
+        if tgt_key.used_bytes() + plan.bytes_total > capacity:
             raise CapacityExceeded("upgrade staging no longer fits the target")
-        if final_bytes > target_dev.capacity_kib * KIB:
+        if final_bytes > capacity:
             raise CapacityExceeded("upgraded key no longer fits the target")
-        src_after = replace(
-            src_key,
-            genealogy=gen.record_spawn(src_key.genealogy, _spawn_event(src_key, now)),
-        )
-        rebirth = gen.GenealogyEvent(
-            gen.EventKind.BIRTH, now, src_key.locale, target_dev.capacity_kib, 1
-        )
-        upgraded = KeyState(
-            version=src_key.version,
-            files=final_files,
-            image_bytes=src_key.image_bytes,
-            genealogy=gen.record_upgrade(tgt_key.genealogy, src_after.genealogy, rebirth),
-            capacity_kib=target_dev.capacity_kib,
-            boot_path=src_key.boot_path,
-            locale=src_key.locale,
-            share_prefix=src_key.share_prefix,
-            compromised=src_key.compromised,
-        )
-        new_target = replace(target_dev, contents=upgraded)
 
+    src_after, new_key = apply_transfer(src_key, tgt_key, target_dev.capacity_kib, now)
     new_source = replace(source_dev, contents=src_after)
+    new_target = replace(target_dev, contents=new_key, foreign_data=False)
     return tuple(
         new_source if d.id == plan.source else new_target if d.id == plan.target else d
         for d in devices

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import genealogy as gen
 from . import replicator as rep
-from .units import MB, as_fraction, sig6
+from .units import KIB, MB, as_fraction, sig6
 
 __all__ = [
     "SimConfig",
@@ -39,6 +39,8 @@ __all__ = [
     "sim_result_to_json",
 ]
 
+# The simulated keys, here and in integrity's trust simulation: an 8 GB
+# key holding a 2.7 GB image whose only system file is the squashfs.
 _EPOCH = datetime.datetime(2013, 1, 1, 0, 0, 0, tzinfo=datetime.timezone.utc)
 
 _DEFAULT_VERSION = gen.ProvenanceHeader(
@@ -50,6 +52,8 @@ _DEFAULT_VERSION = gen.ProvenanceHeader(
 )
 
 DEFAULT_CAPACITY_KIB = 7_812_500  # an 8 GB key in 1 KiB blocks
+_IMAGE_BYTES = 2_700_000_000
+_SQUASHFS = "/live/filesystem.squashfs"
 
 
 @dataclass(frozen=True)
@@ -60,16 +64,21 @@ class SimConfig:
     version header) and lands on the designated master key when the
     simulation clock reaches it.  ``track_genealogies`` turns off
     per-key genealogy bookkeeping for large parameter sweeps where only
-    the round arithmetic matters; the counts are identical either way.
+    the round arithmetic matters: both simulators then skip building
+    keys and logs, and every other field of the result is identical.
+
+    An image larger than the key is refused here (CapacityExceeded):
+    every simulated key has the same files, so one check covers every
+    transfer.
     """
 
     n_participants: int
     seeds: int = 1
     ports_per_host: int = 1
-    image_bytes: int = 2_700_000_000
+    image_bytes: int = _IMAGE_BYTES
     bandwidth_mb_s: Fraction = Fraction(9, 2)
     setup_delay_s: Fraction = Fraction(300)
-    upgrade_ratio: Fraction = Fraction(4, 5)
+    upgrade_ratio: Fraction = rep.DEFAULT_UPGRADE_RATIO
     rng_seed: int = 0
     releases: tuple = ()
     base_version: gen.ProvenanceHeader = _DEFAULT_VERSION
@@ -104,6 +113,13 @@ class SimConfig:
             raise ValueError("upgrade_ratio must be in (0, 1]")
         if self.start_time.tzinfo is None:
             raise ValueError("start_time must be timezone-aware")
+        if self.capacity_kib <= 0:
+            raise ValueError("capacity_kib must be positive")
+        if self.image_bytes > self.capacity_kib * KIB:
+            raise rep.CapacityExceeded(
+                f"files total {self.image_bytes} bytes exceed capacity "
+                f"{self.capacity_kib * KIB} bytes"
+            )
         for t, header in self.releases:
             if t < 0:
                 raise ValueError("release times must be >= 0")
@@ -163,11 +179,11 @@ def _key_ids(n: int) -> list:
     return [f"key-{i:0{width}d}" for i in range(n)]
 
 
-def _manifest(config: SimConfig, version: gen.ProvenanceHeader) -> rep.ImageManifest:
+def _manifest(version: gen.ProvenanceHeader, image_bytes: int) -> rep.ImageManifest:
     return rep.ImageManifest(
         version=version,
-        whitelist=frozenset({"/live/filesystem.squashfs"}),
-        image_bytes=config.image_bytes,
+        whitelist=frozenset({_SQUASHFS}),
+        image_bytes=image_bytes,
     )
 
 
@@ -175,109 +191,61 @@ def _floor_time(config: SimConfig, elapsed: Fraction) -> datetime.datetime:
     return config.start_time + datetime.timedelta(seconds=int(elapsed))
 
 
-def _allocate(sources: list, targets: list, ports: int) -> list:
-    """Pair each source with up to ``ports`` targets, in stable order.
-    Returns (source, target) pairs covering min(len(targets),
-    len(sources) × ports) targets."""
-    pairs = []
-    it = iter(targets)
-    for source in sources:
-        for _ in range(ports):
-            target = next(it, None)
-            if target is None:
-                return pairs
-            pairs.append((source, target))
-    return pairs
+def _seed_keys(config: SimConfig, count: int) -> list:
+    manifest = _manifest(config.base_version, config.image_bytes)
+    return [
+        rep.KeyState.from_manifest(manifest, config.capacity_kib, config.start_time)
+        for _ in range(count)
+    ]
+
+
+def _transfer_round(keys: list, sources, targets, config: SimConfig, now) -> None:
+    """One synchronous round: ``targets[j]`` is written by
+    ``sources[j // ports]``, a fresh clone onto blank media (None) or an
+    upgrade of the key it holds.  ``keys`` is updated in place."""
+    for j, target in enumerate(targets):
+        source = sources[j // config.ports_per_host]
+        keys[source], keys[target] = rep.apply_transfer(
+            keys[source], keys[target], config.capacity_kib, now
+        )
+
+
+def _genealogies(keys: list) -> dict:
+    return {key_id: key.genealogy for key_id, key in zip(_key_ids(len(keys)), keys)}
 
 
 def run_room(config: SimConfig) -> SimResult:
     """Simulate a room deployment: ``seeds`` ready keys, the rest of the
     participants holding blank media, synchronous clone rounds until
-    everyone has a key."""
+    everyone has a key.  Participants 0..covered-1 hold keys, and each
+    round they clone onto the next blanks in order."""
     n, seeds, ports = config.n_participants, config.seeds, config.ports_per_host
     clone_s = Fraction(config.image_bytes) / (config.bandwidth_mb_s * MB)
     round_len = config.setup_delay_s + clone_s
-
-    if not config.track_genealogies:
-        # pure count recurrence, O(log n): seeded multiplies by
-        # (1 + ports) each round until everyone is covered
-        covered = seeds
-        rounds = 0
-        per_round_seeded = []
-        per_round_bytes = []
-        while covered < n:
-            new = min(n - covered, covered * ports)
-            covered += new
-            rounds += 1
-            per_round_seeded.append(covered)
-            per_round_bytes.append(new * config.image_bytes)
-        makespan = rounds * round_len
-        bytes_delivered = (n - seeds) * config.image_bytes
-        amortized = (
-            Fraction(bytes_delivered) / (makespan * MB) if makespan > 0 else Fraction(0)
-        )
-        return SimResult(
-            n_participants=n,
-            ports=ports,
-            rounds=rounds,
-            makespan_s=makespan,
-            bytes_delivered=bytes_delivered,
-            amortized_mb_s=amortized,
-            per_round_seeded=tuple(per_round_seeded),
-            per_round_bytes=tuple(per_round_bytes),
-            genealogies={},
-            version_coverage={config.base_version.descriptor(): n},
-        )
-
-    ids = _key_ids(n)
-    seeded = list(ids[:seeds])
-    blanks = list(ids[seeds:])
-
-    manifest = _manifest(config, config.base_version)
-    keys = {
-        key_id: rep.KeyState.from_manifest(manifest, config.capacity_kib, config.start_time)
-        for key_id in seeded
-    }
+    track = config.track_genealogies
+    keys = _seed_keys(config, seeds) + [None] * (n - seeds) if track else []
 
     elapsed = Fraction(0)
     rounds = 0
+    covered = seeds
     per_round_seeded = []
     per_round_bytes = []
-    while blanks:
-        pairs = _allocate(seeded, blanks, ports)
+    while covered < n:
+        new = min(n - covered, covered * ports)
         elapsed += round_len
         rounds += 1
-        now = _floor_time(config, elapsed)
-        for source_id, target_id in pairs:
-            source_dev = rep.VirtualDevice(
-                source_id,
-                rep.Bus.USB,
-                config.capacity_kib,
-                contents=keys[source_id],
-                is_boot_source=True,
-            )
-            target_dev = rep.VirtualDevice(target_id, rep.Bus.USB, config.capacity_kib)
-            inventory = (source_dev, target_dev)
-            chosen = rep.select_target(inventory)
-            plan = rep.plan_clone(source_dev, target_dev, config.bandwidth_mb_s)
-            if plan.target != chosen:
-                raise rep.ReplicationError(
-                    f"plan target {plan.target!r} disagrees with the gate's choice {chosen!r}"
-                )
-            updated = rep.execute_plan(plan, inventory, now)
-            keys[source_id] = updated[0].contents
-            keys[target_id] = updated[1].contents
-            seeded.append(target_id)
-        del blanks[: len(pairs)]
-        per_round_seeded.append(len(seeded))
-        per_round_bytes.append(len(pairs) * config.image_bytes)
+        if track:
+            now = _floor_time(config, elapsed)
+            _transfer_round(keys, range(covered), range(covered, covered + new), config, now)
+        covered += new
+        per_round_seeded.append(covered)
+        per_round_bytes.append(new * config.image_bytes)
 
     bytes_delivered = (n - seeds) * config.image_bytes
     makespan = elapsed
     amortized = (
         Fraction(bytes_delivered) / (makespan * MB) if makespan > 0 else Fraction(0)
     )
-    genealogies = {key_id: keys[key_id].genealogy for key_id in ids}
     return SimResult(
         n_participants=n,
         ports=ports,
@@ -287,7 +255,7 @@ def run_room(config: SimConfig) -> SimResult:
         amortized_mb_s=amortized,
         per_round_seeded=tuple(per_round_seeded),
         per_round_bytes=tuple(per_round_bytes),
-        genealogies=genealogies,
+        genealogies=_genealogies(keys),
         version_coverage={config.base_version.descriptor(): n},
     )
 
@@ -303,31 +271,24 @@ def run_redeployment(config: SimConfig) -> SimResult:
         raise ValueError("redeployment needs at least one release")
     n = config.n_participants
     ports = config.ports_per_host
-    upgrade_s = (
-        Fraction(math.ceil(config.upgrade_ratio * config.image_bytes))
-        / (config.bandwidth_mb_s * MB)
-    )
-    round_len = config.setup_delay_s + upgrade_s
     per_upgrade_bytes = math.ceil(config.upgrade_ratio * config.image_bytes)
+    round_len = config.setup_delay_s + Fraction(per_upgrade_bytes) / (
+        config.bandwidth_mb_s * MB
+    )
+    # every key holds just its image, so one staging figure fits all
+    staging_peak = config.image_bytes + per_upgrade_bytes
+    capacity = config.capacity_kib * KIB
+    track = config.track_genealogies
 
-    ids = _key_ids(n)
-    manifest = _manifest(config, config.base_version)
-    keys = {
-        key_id: rep.KeyState.from_manifest(
-            manifest, config.capacity_kib, config.start_time
-        )
-        for key_id in ids
-    }
-    level = {key_id: 0 for key_id in ids}  # index into applied releases
-    master_id = ids[0]
+    keys = _seed_keys(config, n) if track else []
+    headers = [config.base_version] + [header for _, header in config.releases]
+    level = [0] * n  # per key: index into headers of the version it holds
 
     elapsed = Fraction(0)
     rounds = 0
     per_round_seeded = []
     per_round_bytes = []
-    upgrade_bytes = 0
     applied = 0
-    top_level = 0
     first_applied_at = None
 
     def within_horizon(t: Fraction) -> bool:
@@ -341,58 +302,46 @@ def run_redeployment(config: SimConfig) -> SimResult:
         ):
             release_time, header = config.releases[applied]
             applied += 1
-            top_level = applied
-            now = _floor_time(config, max(release_time, elapsed))
-            master = keys[master_id]
-            donor = gen.Genealogy(provenance=header)
-            rebirth = gen.GenealogyEvent(
-                gen.EventKind.BIRTH, now, master.locale, master.capacity_kib, 1
-            )
-            new_manifest = _manifest(config, header)
-            rebuilt = rep.KeyState.from_manifest(
-                new_manifest, master.capacity_kib, now, locale=master.locale
-            )
-            keys[master_id] = replace(
-                rebuilt,
-                genealogy=gen.record_upgrade(master.genealogy, donor, rebirth),
-            )
-            level[master_id] = top_level
+            level[0] = applied
+            if track:
+                now = _floor_time(config, max(release_time, elapsed))
+                master = keys[0]
+                donor = gen.Genealogy(provenance=header)
+                rebirth = gen.GenealogyEvent(
+                    gen.EventKind.BIRTH, now, master.locale, master.capacity_kib, 1
+                )
+                rebuilt = rep.KeyState.from_manifest(
+                    _manifest(header, config.image_bytes),
+                    master.capacity_kib,
+                    now,
+                    locale=master.locale,
+                )
+                keys[0] = replace(
+                    rebuilt,
+                    genealogy=gen.record_upgrade(master.genealogy, donor, rebirth),
+                )
             if first_applied_at is None:
                 first_applied_at = elapsed
 
-        stale = sorted(k for k in ids if level[k] < top_level)
+        stale = [i for i in range(n) if level[i] < applied]
         if stale:
             if not within_horizon(elapsed + round_len):
                 break
-            sources = sorted(k for k in ids if level[k] == top_level)
-            pairs = _allocate(sources, stale, ports)
+            if staging_peak > capacity:
+                raise rep.CapacityExceeded(
+                    f"upgrade staging needs {staging_peak} bytes on a {capacity}-byte key"
+                )
+            sources = [i for i in range(n) if level[i] == applied]
+            targets = stale[: len(sources) * ports]
             elapsed += round_len
             rounds += 1
-            now = _floor_time(config, elapsed)
-            for source_id, target_id in pairs:
-                source_dev = rep.VirtualDevice(
-                    source_id,
-                    rep.Bus.USB,
-                    config.capacity_kib,
-                    contents=keys[source_id],
-                    is_boot_source=True,
-                )
-                target_dev = rep.VirtualDevice(
-                    target_id,
-                    rep.Bus.USB,
-                    config.capacity_kib,
-                    contents=keys[target_id],
-                )
-                plan = rep.plan_upgrade(
-                    source_dev, target_dev, config.bandwidth_mb_s, config.upgrade_ratio
-                )
-                updated = rep.execute_plan(plan, (source_dev, target_dev), now)
-                keys[source_id] = updated[0].contents
-                keys[target_id] = updated[1].contents
-                level[target_id] = level[source_id]
-                upgrade_bytes += plan.bytes_total
-            per_round_seeded.append(sum(1 for k in ids if level[k] > 0))
-            per_round_bytes.append(len(pairs) * per_upgrade_bytes)
+            if track:
+                now = _floor_time(config, elapsed)
+                _transfer_round(keys, sources, targets, config, now)
+            for target in targets:
+                level[target] = applied
+            per_round_seeded.append(sum(1 for lv in level if lv > 0))
+            per_round_bytes.append(len(targets) * per_upgrade_bytes)
         elif applied < len(config.releases):
             next_time = config.releases[applied][0]
             if not within_horizon(next_time):
@@ -403,14 +352,9 @@ def run_redeployment(config: SimConfig) -> SimResult:
 
     makespan = elapsed - first_applied_at if first_applied_at is not None else Fraction(0)
     coverage = {}
-    for key_id in ids:
-        desc = keys[key_id].version.descriptor()
+    for lv in level:
+        desc = headers[lv].descriptor()
         coverage[desc] = coverage.get(desc, 0) + 1
-    genealogies = (
-        {key_id: keys[key_id].genealogy for key_id in ids}
-        if config.track_genealogies
-        else {}
-    )
     return SimResult(
         n_participants=n,
         ports=ports,
@@ -420,9 +364,9 @@ def run_redeployment(config: SimConfig) -> SimResult:
         amortized_mb_s=Fraction(0),
         per_round_seeded=tuple(per_round_seeded),
         per_round_bytes=tuple(per_round_bytes),
-        genealogies=genealogies,
+        genealogies=_genealogies(keys),
         version_coverage=coverage,
-        upgrade_bytes=upgrade_bytes,
+        upgrade_bytes=sum(per_round_bytes),
     )
 
 

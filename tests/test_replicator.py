@@ -363,6 +363,20 @@ def test_execute_atomicity_on_failure():
     assert inv[2].contents is None
 
 
+@pytest.mark.parametrize("plan_fn", [plan_clone, plan_upgrade])
+def test_execute_refuses_plan_older_than_source_share(plan_fn):
+    """A share file the source gained after planning makes the plan
+    stale in both modes, rather than being dropped or copied unplanned."""
+    tgt_key = None if plan_fn is plan_clone else master()
+    src_key = master(version=NEWER)
+    plan = plan_fn(usb("key0", src_key, boot=True), usb("key1", tgt_key), 4.5)
+    grown = src_key.with_file("/share/late.pdf", FileEntry(5, FileClass.SHARE, "late"))
+    inv = (usb("key0", grown, boot=True), usb("key1", tgt_key))
+    with pytest.raises(ReplicationError, match="stale"):
+        execute_plan(plan, inv, T0)
+    assert inv[0].contents is grown and inv[1].contents is tgt_key
+
+
 def test_execute_upgrade_preserves_personal_and_extends_history():
     personal = FileEntry(1234, FileClass.PERSONAL, "mine")
     tgt_key = master().with_file("/home/user/w.sws", personal)

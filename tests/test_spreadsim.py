@@ -1,12 +1,14 @@
 """Tests for the room-deployment and redeployment simulators."""
 
 import datetime
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from replikey import genealogy as gen
+from replikey import replicator as rep
 from replikey.spreadsim import (
     SimConfig,
     SimResult,
@@ -163,6 +165,50 @@ def test_room_count_mode_matches_tracked():
             assert a.per_round_bytes == b.per_round_bytes
             assert a.bytes_delivered == b.bytes_delivered
             assert a.amortized_mb_s == b.amortized_mb_s
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    run=st.sampled_from([run_room, run_redeployment]),
+    n=st.integers(1, 40),
+    seeds=st.integers(1, 4),
+    ports=st.integers(1, 4),
+    release_times=st.lists(st.sampled_from([0, 500, 900, 3000, 20_000]), min_size=1, max_size=3),
+    horizon=st.sampled_from([None, 0, 1000, 5000]),
+)
+def test_tracking_off_matches_tracked_property(run, n, seeds, ports, release_times, horizon):
+    """Without genealogies both simulators report the same numbers and
+    write no key at all."""
+    kwargs = dict(
+        n_participants=n,
+        seeds=min(seeds, n),
+        ports_per_host=ports,
+        releases=tuple(zip(release_times, (V1, V2, V3))),
+        horizon_s=horizon,
+    )
+    calls = []
+    real = rep.apply_transfer
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rep, "apply_transfer", counting)
+        tracked = run(SimConfig(**kwargs))
+        transfers = len(calls)
+        untracked = run(SimConfig(**kwargs, track_genealogies=False))
+    assert transfers == tracked.bytes_delivered // 2_700_000_000 + (
+        tracked.upgrade_bytes // 2_160_000_000
+    )
+    assert len(calls) == transfers
+    assert untracked == replace(tracked, genealogies={})
+
+
+@pytest.mark.parametrize("track", [True, False])
+def test_image_larger_than_key_refused(track):
+    with pytest.raises(rep.CapacityExceeded):
+        run_room(SimConfig(n_participants=4, image_bytes=9 * GB, track_genealogies=track))
 
 
 def test_room_matches_closed_form_sampled():
