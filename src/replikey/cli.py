@@ -28,7 +28,7 @@ from . import genealogy as gen
 from . import integrity as integ
 from . import replicator as rep
 from . import spreadsim as sim
-from .units import GB, sig6
+from .units import GB, _json_text, sig6
 
 __all__ = ["dispatch", "entry", "CliError"]
 
@@ -156,7 +156,7 @@ def _cmd_genealogy_stats(args) -> str:
             if s.last_event is None
             else s.last_event.isoformat(sep=" "),
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return _json_text(doc)
     first = "none" if s.first_event is None else s.first_event.isoformat(sep=" ")
     last = "none" if s.last_event is None else s.last_event.isoformat(sep=" ")
     return (
@@ -197,7 +197,7 @@ def _plan_to_json(plan: rep.ClonePlan) -> str:
         "duration_s": sig6(plan.duration_s),
         "allow_overwrite": plan.allow_overwrite,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json_text(doc)
 
 
 def _cmd_clone_plan(args) -> str:

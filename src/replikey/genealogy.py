@@ -183,7 +183,10 @@ class UpgradeEvent:
     """Another key installed its system over this one.  The donor's own
     genealogy at the moment of the upgrade is embedded by value;
     ``donor_has_provenance`` records whether the donor descriptor was
-    written as a proper "p" header on the "u" line."""
+    written as a proper "p" header on the "u" line.
+
+    Raises ValueError for an unflagged donor whose label is "p" or
+    starts with "p ": its "u" line would read back as a flagged one."""
 
     donor: "Genealogy"
     donor_has_provenance: bool | None = None
@@ -191,12 +194,18 @@ class UpgradeEvent:
     def __post_init__(self):
         if not isinstance(self.donor, Genealogy):
             raise ValueError("donor must be a Genealogy")
+        provenance = self.donor.provenance
         if self.donor_has_provenance is None:
-            object.__setattr__(
-                self, "donor_has_provenance", self.donor.provenance is not None
-            )
-        if self.donor_has_provenance and self.donor.provenance is None:
+            object.__setattr__(self, "donor_has_provenance", provenance is not None)
+        if self.donor_has_provenance and provenance is None:
             raise ValueError("donor_has_provenance requires a donor provenance header")
+        if not self.donor_has_provenance and provenance is not None and (
+            provenance.label == "p" or provenance.label.startswith("p ")
+        ):
+            raise ValueError(
+                "an unflagged donor label cannot be 'p' or start with 'p ': "
+                f"{provenance.label!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -345,7 +354,10 @@ def _parse_record(
                 raise GenealogyParseError(
                     tok.lineno, "upgrade with no donor events and no descriptor"
                 )
-            events.append(UpgradeEvent(donor=donor, donor_has_provenance=has_p))
+            try:
+                events.append(UpgradeEvent(donor=donor, donor_has_provenance=has_p))
+            except ValueError as exc:
+                raise GenealogyParseError(tok.lineno, str(exc)) from None
     return Genealogy(provenance=provenance, events=tuple(events)), i
 
 

@@ -20,7 +20,6 @@ returns a new one.
 import datetime
 import enum
 import hashlib
-import json
 import random
 from dataclasses import dataclass, replace
 
@@ -35,6 +34,7 @@ from .spreadsim import (
     _key_ids,
     _manifest,
 )
+from .units import _json_text
 
 __all__ = [
     "IntegrityError",
@@ -347,6 +347,12 @@ def _newer(a: KeyState, b: KeyState) -> int:
     return 1 if b.version.build_date > a.version.build_date else 0
 
 
+def _reference(subject: KeyState, trusted: IntegrityManifest | None) -> IntegrityManifest:
+    if trusted is not None:
+        return trusted
+    return expected_manifest(subject.version, subject.paths_of(FileClass.SYSTEM))
+
+
 def meeting(
     a: KeyState,
     b: KeyState,
@@ -378,51 +384,24 @@ def meeting(
     if now is None:
         now = _default_now(a, b)
     newer = _newer(a, b)
-
-    if protocol is Protocol.NEWEST_BOOTS:
-        booter, subject = newer, 1 - newer
-        if keys[booter].version != keys[subject].version:
-            keys[booter], keys[subject] = apply_transfer(
-                keys[booter], keys[subject], keys[subject].capacity_kib, now
-            )
-        return MeetingResult(_PASS, booter, tuple(keys))
-
     if protocol is Protocol.RANDOM_DRAW:
         booter = 0 if rng.random() < 0.5 else 1
-        subject = 1 - booter
-        reference = trusted
-        if reference is None:
-            reference = expected_manifest(
-                keys[subject].version,
-                keys[subject].paths_of(FileClass.SYSTEM),
-            )
-        verdict = verify(keys[booter], keys[subject], reference)
-        if not verdict.passed:
-            return MeetingResult(verdict, booter, tuple(keys), subject)
-        if keys[0].version != keys[1].version:
-            keys[newer], keys[1 - newer] = apply_transfer(
-                keys[newer], keys[1 - newer], keys[1 - newer].capacity_kib, now
-            )
-        return MeetingResult(verdict, booter, tuple(keys))
+    elif isinstance(protocol, Protocol):
+        booter = newer
+    else:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    subject = 1 - booter
 
+    verdict = _PASS
+    if protocol is Protocol.RANDOM_DRAW:
+        verdict = verify(keys[booter], keys[subject], _reference(keys[subject], trusted))
+    if verdict.passed and keys[0].version != keys[1].version:
+        keys[newer], keys[1 - newer] = apply_transfer(
+            keys[newer], keys[1 - newer], keys[1 - newer].capacity_kib, now
+        )
     if protocol is Protocol.TWO_KEY_OWNER:
-        booter, subject = newer, 1 - newer
-        if keys[booter].version != keys[subject].version:
-            keys[booter], keys[subject] = apply_transfer(
-                keys[booter], keys[subject], keys[subject].capacity_kib, now
-            )
-        reference = trusted
-        if reference is None:
-            reference = expected_manifest(
-                keys[subject].version,
-                keys[subject].paths_of(FileClass.SYSTEM),
-            )
-        verdict = check_against(keys[subject], reference)
-        if not verdict.passed:
-            return MeetingResult(verdict, booter, tuple(keys), subject)
-        return MeetingResult(verdict, booter, tuple(keys))
-
-    raise ValueError(f"unknown protocol {protocol!r}")
+        verdict = check_against(keys[subject], _reference(keys[subject], trusted))
+    return MeetingResult(verdict, booter, tuple(keys), None if verdict.passed else subject)
 
 
 # ---------------------------------------------------------------------------
@@ -545,4 +524,4 @@ def trust_sim_result_to_json(result: TrustSimResult) -> str:
         "infected_over_time": list(result.infected_over_time),
         "quarantined": result.quarantined,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json_text(doc)

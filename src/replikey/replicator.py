@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import genealogy as gen
-from .units import MB, KIB, as_fraction
+from .units import MB, KIB, _json_text, as_fraction
 
 __all__ = [
     "Bus",
@@ -382,6 +382,63 @@ def _copy_entries(source: KeyState) -> dict:
     }
 
 
+def _bandwidth(bandwidth_mb_s) -> Fraction:
+    bandwidth = as_fraction(bandwidth_mb_s)
+    if bandwidth <= 0:
+        raise ValueError("bandwidth must be positive")
+    return bandwidth
+
+
+def _check_transfer(
+    mode: CloneMode,
+    source: VirtualDevice,
+    target: VirtualDevice,
+    incoming: int,
+    allow_overwrite: bool,
+) -> None:
+    """Every refusal of a transfer, for planning and executing alike.
+
+    The source must hold a key and the target must be another device:
+    blank media for a fresh clone (foreign data only with
+    allow_overwrite), a key for an upgrade.  The target's capacity must
+    hold both the staging peak, its current files plus the ``incoming``
+    bytes, and the final file set, which carries the source's boot file
+    even when that lies outside its system set."""
+    src_key, tgt_key = source.contents, target.contents
+    if src_key is None:
+        raise ReplicationError(f"source device {source.id!r} holds no key")
+    if target.id == source.id:
+        raise RefusalTargetIsSource(f"target {target.id!r} is the source device")
+    if mode is CloneMode.FRESH:
+        if tgt_key is not None:
+            raise TargetNotBlank(
+                f"device {target.id!r} already holds a key; plan an upgrade instead"
+            )
+        if target.foreign_data and not allow_overwrite:
+            raise OverwriteNotConfirmed(
+                f"device {target.id!r} holds non-key data; confirm overwrite explicitly"
+            )
+    elif tgt_key is None:
+        raise ReplicationError(f"target device {target.id!r} holds no key to upgrade")
+
+    capacity = target.capacity_kib * KIB
+    staging_peak = (0 if tgt_key is None else tgt_key.used_bytes()) + incoming
+    if staging_peak > capacity:
+        raise CapacityExceeded(
+            f"clone needs {staging_peak} bytes, target holds {capacity}"
+            if mode is CloneMode.FRESH
+            else f"upgrade staging needs {staging_peak} bytes on a {capacity}-byte key"
+        )
+    final_files = _upgraded_files(src_key, () if tgt_key is None else tgt_key.files)
+    final_bytes = sum(e.size_bytes for e in final_files.values())
+    if final_bytes > capacity:
+        raise CapacityExceeded(
+            f"clone needs {final_bytes} bytes, target holds {capacity}"
+            if mode is CloneMode.FRESH
+            else f"upgraded key would hold {final_bytes} bytes on a {capacity}-byte key"
+        )
+
+
 def plan_clone(
     source: VirtualDevice,
     target: VirtualDevice,
@@ -394,27 +451,11 @@ def plan_clone(
     The target must hold no key (use plan_upgrade for that) and holding
     foreign data requires allow_overwrite.  Duration is bytes divided by
     the decimal-MB bandwidth, kept exact."""
-    bandwidth = as_fraction(bandwidth_mb_s)
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
-    if source.contents is None:
-        raise ReplicationError(f"source device {source.id!r} holds no key")
-    if target.id == source.id:
-        raise RefusalTargetIsSource(f"target {target.id!r} is the source device")
-    if target.contents is not None:
-        raise TargetNotBlank(
-            f"device {target.id!r} already holds a key; plan an upgrade instead"
-        )
-    if target.foreign_data and not allow_overwrite:
-        raise OverwriteNotConfirmed(
-            f"device {target.id!r} holds non-key data; confirm overwrite explicitly"
-        )
-    entries = _copy_entries(source.contents)
+    bandwidth = _bandwidth(bandwidth_mb_s)
+    # a device without a key copies nothing; the check refuses it
+    entries = {} if source.contents is None else _copy_entries(source.contents)
     bytes_total = sum(e.size_bytes for e in entries.values())
-    if bytes_total > target.capacity_kib * KIB:
-        raise CapacityExceeded(
-            f"clone needs {bytes_total} bytes, target holds {target.capacity_kib * KIB}"
-        )
+    _check_transfer(CloneMode.FRESH, source, target, bytes_total, allow_overwrite)
     return ClonePlan(
         mode=CloneMode.FRESH,
         source=source.id,
@@ -440,45 +481,24 @@ def plan_upgrade(
     Transfer volume is upgrade_ratio × the source image size plus the
     source's share files.  Capacity must cover both the staging peak
     (current contents plus the incoming transfer) and the final state."""
-    bandwidth = as_fraction(bandwidth_mb_s)
+    bandwidth = _bandwidth(bandwidth_mb_s)
     ratio = as_fraction(upgrade_ratio)
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
     if not 0 < ratio <= 1:
         raise ValueError("upgrade_ratio must be in (0, 1]")
-    if source.contents is None:
-        raise ReplicationError(f"source device {source.id!r} holds no key")
-    if target.contents is None:
-        raise ReplicationError(f"target device {target.id!r} holds no key to upgrade")
-    if target.id == source.id:
-        raise RefusalTargetIsSource(f"target {target.id!r} is the source device")
-
     src_key = source.contents
-    tgt_key = target.contents
-    entries = _copy_entries(src_key)
+    # a device without a key transfers nothing; the check refuses it
+    entries = {} if src_key is None else _copy_entries(src_key)
     share_bytes = sum(
         e.size_bytes for e in entries.values() if e.file_class is FileClass.SHARE
     )
-    transfer = math.ceil(ratio * src_key.image_bytes + share_bytes)
-    capacity = target.capacity_kib * KIB
-
-    staging_peak = tgt_key.used_bytes() + transfer
-    if staging_peak > capacity:
-        raise CapacityExceeded(
-            f"upgrade staging needs {staging_peak} bytes on a {capacity}-byte key"
-        )
-    final_files = _upgraded_files(src_key, tgt_key.files)
-    final_bytes = sum(e.size_bytes for e in final_files.values())
-    if final_bytes > capacity:
-        raise CapacityExceeded(
-            f"upgraded key would hold {final_bytes} bytes on a {capacity}-byte key"
-        )
+    transfer = 0 if src_key is None else math.ceil(ratio * src_key.image_bytes + share_bytes)
+    _check_transfer(CloneMode.UPGRADE, source, target, transfer, False)
     return ClonePlan(
         mode=CloneMode.UPGRADE,
         source=source.id,
         target=target.id,
         copy_set=frozenset(entries),
-        preserve_set=tgt_key.paths_of(FileClass.PERSONAL),
+        preserve_set=target.contents.paths_of(FileClass.PERSONAL),
         bytes_total=transfer,
         duration_s=Fraction(transfer) / (bandwidth * MB),
         allow_overwrite=False,
@@ -512,17 +532,12 @@ def _upgraded_files(src_key: KeyState, tgt_files: tuple) -> dict:
     for path, entry in tgt_files:
         if entry.file_class is FileClass.PERSONAL:
             out[path] = entry
-    return _with_boot_file(src_key, out)
-
-
-def _with_boot_file(src_key: KeyState, entries: dict) -> dict:
     # a shadow-booted source points outside its system set; the write
     # process carries that boot target along, keeping the tamper visible
     # on the new key
-    if src_key.boot_path not in entries:
-        entries = dict(entries)
-        entries[src_key.boot_path] = dict(src_key.files)[src_key.boot_path]
-    return entries
+    if src_key.boot_path not in out:
+        out[src_key.boot_path] = dict(src_key.files)[src_key.boot_path]
+    return out
 
 
 def apply_transfer(
@@ -563,51 +578,25 @@ def apply_transfer(
 def execute_plan(plan: ClonePlan, inventory, now: datetime.datetime):
     """Apply a plan to an inventory, returning the updated inventory.
 
-    Revalidates against current state first, so a stale plan fails
-    before anything changes; the input inventory is never mutated.  A
-    plan is stale when its copy set is no longer exactly the source's
-    system and share paths."""
+    Revalidates against current state first, with the same check the
+    planners run, so a refused or stale plan fails before anything
+    changes; the input inventory is never mutated.  A plan is stale
+    when its copy set is no longer exactly the source's system and
+    share paths."""
     devices = _check_inventory(inventory)
-    if plan.source == plan.target:
-        raise RefusalTargetIsSource(f"plan targets its own source {plan.source!r}")
     source_dev = _device(devices, plan.source)
     target_dev = _device(devices, plan.target)
-    if source_dev.contents is None:
-        raise ReplicationError(f"source device {plan.source!r} holds no key")
+    _check_transfer(plan.mode, source_dev, target_dev, plan.bytes_total, plan.allow_overwrite)
     src_key = source_dev.contents
-    tgt_key = target_dev.contents
-
     changed = plan.copy_set ^ frozenset(_copy_entries(src_key))
     if changed:
         raise ReplicationError(
             f"plan is stale: the source's system and share files changed at {min(changed)!r}"
         )
 
-    capacity = target_dev.capacity_kib * KIB
-    final_files = _upgraded_files(src_key, () if tgt_key is None else tgt_key.files)
-    final_bytes = sum(e.size_bytes for e in final_files.values())
-    if plan.mode is CloneMode.FRESH:
-        if tgt_key is not None:
-            raise TargetNotBlank(
-                f"device {plan.target!r} already holds a key; plan an upgrade instead"
-            )
-        if target_dev.foreign_data and not plan.allow_overwrite:
-            raise OverwriteNotConfirmed(
-                f"device {plan.target!r} holds non-key data; confirm overwrite explicitly"
-            )
-        if final_bytes > capacity:
-            raise CapacityExceeded(
-                f"clone needs {final_bytes} bytes, target holds {capacity}"
-            )
-    else:
-        if tgt_key is None:
-            raise ReplicationError(f"target device {plan.target!r} holds no key to upgrade")
-        if tgt_key.used_bytes() + plan.bytes_total > capacity:
-            raise CapacityExceeded("upgrade staging no longer fits the target")
-        if final_bytes > capacity:
-            raise CapacityExceeded("upgraded key no longer fits the target")
-
-    src_after, new_key = apply_transfer(src_key, tgt_key, target_dev.capacity_kib, now)
+    src_after, new_key = apply_transfer(
+        src_key, target_dev.contents, target_dev.capacity_kib, now
+    )
     new_source = replace(source_dev, contents=src_after)
     new_target = replace(target_dev, contents=new_key, foreign_data=False)
     return tuple(
@@ -689,7 +678,7 @@ def inventory_to_json(inventory) -> str:
             for d in devices
         ]
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json_text(doc)
 
 
 def inventory_from_json(text: str):

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import genealogy as gen
 from . import replicator as rep
-from .units import KIB, MB, as_fraction, sig6
+from .units import KIB, MB, _json_text, as_fraction, sig6
 
 __all__ = [
     "SimConfig",
@@ -56,6 +56,14 @@ _IMAGE_BYTES = 2_700_000_000
 _SQUASHFS = "/live/filesystem.squashfs"
 
 
+def _exact(name: str, value) -> Fraction:
+    """``value`` as an exact Fraction, or a ValueError naming the field."""
+    try:
+        return as_fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"{name}: not an exact number: {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Parameters of one deployment scenario.
@@ -79,7 +87,6 @@ class SimConfig:
     bandwidth_mb_s: Fraction = Fraction(9, 2)
     setup_delay_s: Fraction = Fraction(300)
     upgrade_ratio: Fraction = rep.DEFAULT_UPGRADE_RATIO
-    rng_seed: int = 0
     releases: tuple = ()
     base_version: gen.ProvenanceHeader = _DEFAULT_VERSION
     capacity_kib: int = DEFAULT_CAPACITY_KIB
@@ -88,13 +95,13 @@ class SimConfig:
     track_genealogies: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "bandwidth_mb_s", as_fraction(self.bandwidth_mb_s))
-        object.__setattr__(self, "setup_delay_s", as_fraction(self.setup_delay_s))
-        object.__setattr__(self, "upgrade_ratio", as_fraction(self.upgrade_ratio))
+        for name in ("bandwidth_mb_s", "setup_delay_s", "upgrade_ratio"):
+            object.__setattr__(self, name, _exact(name, getattr(self, name)))
         if self.horizon_s is not None:
-            object.__setattr__(self, "horizon_s", as_fraction(self.horizon_s))
+            object.__setattr__(self, "horizon_s", _exact("horizon_s", self.horizon_s))
         releases = tuple(
-            (as_fraction(t), header) for t, header in self.releases
+            (_exact(f"releases[{i}].time_s", t), header)
+            for i, (t, header) in enumerate(self.releases)
         )
         object.__setattr__(
             self, "releases", tuple(sorted(releases, key=lambda r: r[0]))
@@ -419,7 +426,6 @@ def sim_config_from_json(text: str) -> SimConfig:
         "seeds",
         "ports_per_host",
         "image_bytes",
-        "rng_seed",
         "capacity_kib",
         "track_genealogies",
     ):
@@ -427,7 +433,7 @@ def sim_config_from_json(text: str) -> SimConfig:
             kwargs[name] = doc[name]
     for name in ("bandwidth_mb_s", "setup_delay_s", "upgrade_ratio", "horizon_s"):
         if name in doc and doc[name] is not None:
-            kwargs[name] = as_fraction(doc[name])
+            kwargs[name] = doc[name]
     if "base_version" in doc:
         kwargs["base_version"] = gen.ProvenanceHeader.from_descriptor(doc["base_version"])
     if "releases" in doc:
@@ -439,10 +445,7 @@ def sim_config_from_json(text: str) -> SimConfig:
                 if name not in item:
                     raise ValueError(f"release {index}: missing field {name!r}")
             releases.append(
-                (
-                    as_fraction(item["time_s"]),
-                    gen.ProvenanceHeader.from_descriptor(item["version"]),
-                )
+                (item["time_s"], gen.ProvenanceHeader.from_descriptor(item["version"]))
             )
         kwargs["releases"] = tuple(releases)
     if "start_time" in doc:
@@ -468,4 +471,4 @@ def sim_result_to_json(result: SimResult) -> str:
         "version_coverage": dict(sorted(result.version_coverage.items())),
         "genealogies": dict(zip(key_ids, texts)),
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json_text(doc)

@@ -308,6 +308,24 @@ def test_sim_redeploy_bad_release_names_it(capsys, tmp_path, release, problem):
     assert err == f"error: {config}: release 1: {problem}\n"
 
 
+@pytest.mark.parametrize(
+    "field",
+    ["bandwidth_mb_s", "setup_delay_s", "upgrade_ratio", "horizon_s", "releases[0].time_s"],
+)
+def test_sim_redeploy_zero_denominator_names_field(capsys, tmp_path, field):
+    doc = {"n_participants": 4, "releases": [{"time_s": 0, "version": _V11}]}
+    if field == "releases[0].time_s":
+        doc["releases"][0]["time_s"] = "1/0"
+    else:
+        doc[field] = "1/0"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "sim-redeploy", "--config", str(config))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {config}: {field}: not an exact number: '1/0'\n"
+
+
 def test_sim_redeploy_bad_json_names_line(capsys, tmp_path):
     config = tmp_path / "broken.json"
     config.write_text('{"n_participants": 8,\n  oops\n}')

@@ -266,6 +266,21 @@ def test_descriptor_only_upgrade():
     assert up.donor_has_provenance is False
 
 
+@pytest.mark.parametrize("label", ["p", "p X"])
+def test_unflagged_donor_label_read_as_flag_refused(label):
+    """'u p ...' marks a flagged donor, so an unflagged donor whose
+    label is "p" or starts with "p " has no text form."""
+    header = ProvenanceHeader(label, datetime.date(2013, 4, 26), "en_US.UTF-8", "wheezy", "686-pae")
+    donor = Genealogy(provenance=header)
+    with pytest.raises(ValueError, match="unflagged donor label"):
+        UpgradeEvent(donor=donor, donor_has_provenance=False)
+    with pytest.raises(GenealogyParseError) as exc:
+        parse(f"u\n  p {header.descriptor()}\n")
+    assert exc.value.lineno == 1
+    flagged = Genealogy(events=(UpgradeEvent(donor=donor),))
+    assert parse(serialize(flagged)) == flagged
+
+
 def test_nested_upgrade_depth_two():
     donor_inner = Genealogy(events=(birth("2013-01-01 00:00:00+00:00"),))
     donor_outer = record_upgrade(
@@ -597,10 +612,12 @@ def _records(depth: int):
         donor = _records(depth - 1).filter(
             lambda g: g.provenance is not None or g.events
         )
-        upgrade = st.builds(
-            UpgradeEvent,
-            donor=donor,
-            donor_has_provenance=st.just(None) | st.just(False),
+        # an unflagged donor labelled "p" or "p ..." is refused
+        unflagged_donor = donor.filter(
+            lambda g: g.provenance is None or not g.provenance.descriptor().startswith("p ")
+        )
+        upgrade = st.builds(UpgradeEvent, donor=donor) | st.builds(
+            UpgradeEvent, donor=unflagged_donor, donor_has_provenance=st.just(False)
         )
         items = _event | upgrade
     return st.builds(

@@ -1,6 +1,7 @@
 """Tests for the clone/upgrade state machine, the device safety gate,
 and path classification."""
 
+import dataclasses
 import datetime
 from fractions import Fraction
 
@@ -226,6 +227,17 @@ def test_plan_clone_capacity():
     small = usb("tiny", capacity_kib=1_000_000)  # ~1 GB
     with pytest.raises(CapacityExceeded):
         plan_clone(src, small, 4.5)
+
+
+def test_plan_clone_counts_boot_file_outside_system_set():
+    """A 16 GB source booting a 5.5 GB personal file carries that file
+    onto its clone, so the 8.2 GB clone is refused for an 8 GB stick at
+    plan time, as execute_plan would refuse it."""
+    big = FileEntry(5_500_000_000, FileClass.PERSONAL, "big")
+    key = master(capacity_kib=15_625_000).with_file("/home/user/big.img", big)
+    key = dataclasses.replace(key, boot_path="/home/user/big.img")
+    with pytest.raises(CapacityExceeded, match="clone needs 8200000000 bytes"):
+        plan_clone(usb("key0", key, boot=True), usb("blank0"), 4.5)
 
 
 def test_plan_clone_source_must_hold_key():
@@ -558,3 +570,55 @@ def test_upgrade_personal_untouched_property(src_key, tgt_key):
     after = dict(upgraded.files)
     for path, entry in before.items():
         assert after[path] == entry
+
+
+@st.composite
+def _transfer_keys(draw):
+    """A key of varied capacity and version, with share and personal
+    files, sometimes booting one of its personal files."""
+    capacity_kib = draw(st.integers(2_700_000_000 // 1024 + 1, 10_000_000))
+    key = master(capacity_kib, version=draw(st.sampled_from([VERSION, NEWER])))
+    personal = []
+    for i in range(draw(st.integers(0, 3))):
+        file_class = draw(st.sampled_from([FileClass.SHARE, FileClass.PERSONAL]))
+        path = f"/share/f{i}" if file_class is FileClass.SHARE else f"/home/user/f{i}"
+        free = capacity_kib * 1024 - key.used_bytes()
+        key = key.with_file(path, FileEntry(draw(st.integers(0, free)), file_class, path))
+        if file_class is FileClass.PERSONAL:
+            personal.append(path)
+    if personal and draw(st.booleans()):
+        key = dataclasses.replace(key, boot_path=draw(st.sampled_from(personal)))
+    return key
+
+
+@st.composite
+def _transfer_pairs(draw):
+    """A booted key and a second USB device that is blank, holds
+    foreign data or holds a key.  A device without a key is sized near
+    what a clone copies, so the source's boot file can tip the balance."""
+    key = draw(_transfer_keys())
+    kind = draw(st.sampled_from(["blank", "foreign", "key"]))
+    if kind == "key":
+        return usb("key0", key, boot=True), usb("key1", draw(_transfer_keys()))
+    copied = sum(e.size_bytes for _, e in key.files if e.file_class is not FileClass.PERSONAL)
+    capacity_kib = max(1, (copied + draw(st.integers(-GB, 6 * GB))) // 1024)
+    target = usb("key1", capacity_kib=capacity_kib, foreign=kind == "foreign")
+    return usb("key0", key, boot=True), target
+
+
+@given(_transfer_pairs(), st.booleans())
+def test_accepted_plan_executes_property(inventory, allow_overwrite):
+    """Planning and executing refuse the same transfers: a plan either
+    planner returns executes on the inventory it was made from."""
+    source, target = inventory
+    planners = (
+        lambda: plan_clone(source, target, 4.5, allow_overwrite=allow_overwrite),
+        lambda: plan_upgrade(source, target, 4.5),
+    )
+    for make_plan in planners:
+        try:
+            plan = make_plan()
+        except ReplicationError:
+            continue
+        out = execute_plan(plan, inventory, T0)
+        assert out[1].contents.version == source.contents.version
