@@ -17,8 +17,11 @@ All functions are pure; keys are immutable snapshots and every update
 returns a new one.
 """
 
+import bisect
+import copy
 import datetime
 import enum
+import functools
 import hashlib
 import random
 from dataclasses import dataclass, replace
@@ -31,6 +34,7 @@ from .spreadsim import (
     _EPOCH,
     _IMAGE_BYTES,
     _SQUASHFS,
+    _check_int,
     _key_ids,
     _manifest,
 )
@@ -350,7 +354,15 @@ def _newer(a: KeyState, b: KeyState) -> int:
 def _reference(subject: KeyState, trusted: IntegrityManifest | None) -> IntegrityManifest:
     if trusted is not None:
         return trusted
-    return expected_manifest(subject.version, subject.paths_of(FileClass.SYSTEM))
+    return _expected_cached(subject.version, subject.paths_of(FileClass.SYSTEM))
+
+
+@functools.lru_cache(maxsize=64)
+def _expected_cached(version: gen.ProvenanceHeader, system_paths: frozenset) -> IntegrityManifest:
+    """expected_manifest for a (version, system path set) pair, rebuilt
+    only when the pair is new; the manifest is immutable, so sharing it
+    is safe."""
+    return expected_manifest(version, system_paths)
 
 
 def meeting(
@@ -426,6 +438,8 @@ class TrustSimConfig:
     quarantine_flagged: bool = True
 
     def __post_init__(self):
+        for name in ("population", "tampered_initial", "meetings"):
+            _check_int(name, getattr(self, name))
         if self.population < 1:
             raise ValueError("population must be at least 1")
         if not 0 <= self.tampered_initial <= self.population:
@@ -457,22 +471,6 @@ _TAMPERED_VERSION = replace(
 )
 
 
-def _sim_population(config: TrustSimConfig) -> dict:
-    """The starting keys: clean ones from the base image, tampered ones
-    from a fake newer release with one modified file."""
-    base = _manifest(_DEFAULT_VERSION, _IMAGE_BYTES)
-    fake = _manifest(_TAMPERED_VERSION, _IMAGE_BYTES)
-    keys = {}
-    for i, key_id in enumerate(_key_ids(config.population)):
-        if i < config.tampered_initial:
-            key = KeyState.from_manifest(fake, DEFAULT_CAPACITY_KIB, _EPOCH)
-            key = tamper(key, TamperAction(TamperKind.MODIFY_FILE, _SQUASHFS))
-        else:
-            key = KeyState.from_manifest(base, DEFAULT_CAPACITY_KIB, _EPOCH)
-        keys[key_id] = key
-    return keys
-
-
 def run_trust_sim(config: TrustSimConfig) -> TrustSimResult:
     """Run the meeting schedule: uniform random pairs, no self-meetings,
     deterministic under rng_seed.
@@ -480,40 +478,64 @@ def run_trust_sim(config: TrustSimConfig) -> TrustSimResult:
     detections counts failed checks. false_negatives counts meetings
     that ended Pass while a participant was compromised. When fewer than
     two keys remain unflagged a meeting slot passes with no encounter.
+
+    Apart from ``meeting`` itself, each meeting costs O(1): the infected
+    count is updated from the two keys that met, and the sorted pool of
+    unflagged ids changes only when a key is quarantined. Every clean
+    key starts equal, and so does every tampered one (a fake newer
+    release with one modified file), so each kind is built once and
+    copied: the tampered keys up front, a clean key the first time it
+    is drawn. The copies are distinct objects, since a key cannot meet
+    itself.
     """
     rng = random.Random(config.rng_seed)
-    keys = _sim_population(config)
-    ids = sorted(keys)
-    quarantined = set()
+    ids = _key_ids(config.population)
+    pool = sorted(ids)
+    fake = tamper(
+        KeyState.from_manifest(
+            _manifest(_TAMPERED_VERSION, _IMAGE_BYTES), DEFAULT_CAPACITY_KIB, _EPOCH
+        ),
+        TamperAction(TamperKind.MODIFY_FILE, _SQUASHFS),
+    )
+    clean = KeyState.from_manifest(
+        _manifest(_DEFAULT_VERSION, _IMAGE_BYTES), DEFAULT_CAPACITY_KIB, _EPOCH
+    )
+    keys = {key_id: copy.copy(fake) for key_id in ids[: config.tampered_initial]}
+
+    def key(key_id: str) -> KeyState:
+        if key_id not in keys:
+            keys[key_id] = copy.copy(clean)
+        return keys[key_id]
+
+    infected = config.tampered_initial
+    quarantined = 0
     detections = 0
     false_negatives = 0
-
-    def infected() -> int:
-        return sum(1 for k in keys.values() if k.compromised)
-
-    trajectory = [infected()]
+    trajectory = [infected]
     for step in range(config.meetings):
-        pool = [i for i in ids if i not in quarantined]
         if len(pool) < 2:
-            trajectory.append(trajectory[-1])
+            trajectory.append(infected)
             continue
         id_a, id_b = rng.sample(pool, 2)
+        a, b = key(id_a), key(id_b)
         now = _EPOCH + datetime.timedelta(minutes=step + 1)
-        result = meeting(keys[id_a], keys[id_b], config.protocol, rng, now=now)
-        keys[id_a], keys[id_b] = result.keys
+        result = meeting(a, b, config.protocol, rng, now=now)
+        keys[id_a], keys[id_b] = after_a, after_b = result.keys
+        infected += after_a.compromised + after_b.compromised - a.compromised - b.compromised
         if result.verdict.passed:
-            if keys[id_a].compromised or keys[id_b].compromised:
+            if after_a.compromised or after_b.compromised:
                 false_negatives += 1
         else:
             detections += 1
             if config.quarantine_flagged:
-                quarantined.add((id_a, id_b)[result.flagged])
-        trajectory.append(infected())
+                del pool[bisect.bisect_left(pool, (id_a, id_b)[result.flagged])]
+                quarantined += 1
+        trajectory.append(infected)
     return TrustSimResult(
         infected_over_time=tuple(trajectory),
         detections=detections,
         false_negatives=false_negatives,
-        quarantined=len(quarantined),
+        quarantined=quarantined,
     )
 
 

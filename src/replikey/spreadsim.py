@@ -64,6 +64,13 @@ def _exact(name: str, value) -> Fraction:
         raise ValueError(f"{name}: not an exact number: {value!r}") from None
 
 
+def _check_int(name: str, value) -> None:
+    """A ValueError naming the field unless ``value`` is an int (a bool
+    is not)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Parameters of one deployment scenario.
@@ -106,6 +113,12 @@ class SimConfig:
         object.__setattr__(
             self, "releases", tuple(sorted(releases, key=lambda r: r[0]))
         )
+        for name in ("n_participants", "seeds", "ports_per_host", "image_bytes", "capacity_kib"):
+            _check_int(name, getattr(self, name))
+        if not isinstance(self.track_genealogies, bool):
+            raise ValueError(
+                f"track_genealogies: expected true or false, got {self.track_genealogies!r}"
+            )
         if self.n_participants < 1:
             raise ValueError("n_participants must be >= 1")
         if not 1 <= self.seeds <= self.n_participants:
@@ -416,10 +429,20 @@ def time_series_rows(result: SimResult) -> list:
 # JSON interfaces
 
 
+def _header(name: str, value) -> gen.ProvenanceHeader:
+    if not isinstance(value, str):
+        raise ValueError(f"{name}: expected a descriptor string, got {value!r}")
+    return gen.ProvenanceHeader.from_descriptor(value)
+
+
 def sim_config_from_json(text: str) -> SimConfig:
     """Build a SimConfig from its JSON document form.  Rates may be given
     as numbers or strings; strings are parsed exactly."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("expected a JSON object")
+    if "n_participants" not in doc:
+        raise ValueError("missing field 'n_participants'")
     kwargs = {}
     for name in (
         "n_participants",
@@ -435,8 +458,10 @@ def sim_config_from_json(text: str) -> SimConfig:
         if name in doc and doc[name] is not None:
             kwargs[name] = doc[name]
     if "base_version" in doc:
-        kwargs["base_version"] = gen.ProvenanceHeader.from_descriptor(doc["base_version"])
+        kwargs["base_version"] = _header("base_version", doc["base_version"])
     if "releases" in doc:
+        if not isinstance(doc["releases"], list):
+            raise ValueError("releases: expected a list")
         releases = []
         for index, item in enumerate(doc["releases"]):
             if not isinstance(item, dict):
@@ -445,10 +470,14 @@ def sim_config_from_json(text: str) -> SimConfig:
                 if name not in item:
                     raise ValueError(f"release {index}: missing field {name!r}")
             releases.append(
-                (item["time_s"], gen.ProvenanceHeader.from_descriptor(item["version"]))
+                (item["time_s"], _header(f"release {index}: version", item["version"]))
             )
         kwargs["releases"] = tuple(releases)
     if "start_time" in doc:
+        if not isinstance(doc["start_time"], str):
+            raise ValueError(
+                f"start_time: expected a timestamp string, got {doc['start_time']!r}"
+            )
         kwargs["start_time"] = datetime.datetime.fromisoformat(doc["start_time"])
     return SimConfig(**kwargs)
 

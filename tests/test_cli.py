@@ -326,6 +326,58 @@ def test_sim_redeploy_zero_denominator_names_field(capsys, tmp_path, field):
     assert err == f"error: {config}: {field}: not an exact number: '1/0'\n"
 
 
+_GOOD_RELEASES = [{"time_s": 0, "version": _V11}]
+
+
+@pytest.mark.parametrize(
+    "doc, problem",
+    [
+        ({"n_participants": "x"}, "n_participants: expected an integer, got 'x'"),
+        ({"n_participants": 4, "seeds": 2.5}, "seeds: expected an integer, got 2.5"),
+        (
+            {"n_participants": 4, "ports_per_host": True},
+            "ports_per_host: expected an integer, got True",
+        ),
+        (
+            {"n_participants": 4, "image_bytes": "2700000000"},
+            "image_bytes: expected an integer, got '2700000000'",
+        ),
+        (
+            {"n_participants": 4, "capacity_kib": None},
+            "capacity_kib: expected an integer, got None",
+        ),
+        ({"n_participants": 4, "releases": 5}, "releases: expected a list"),
+        ([], "expected a JSON object"),
+        ({"releases": _GOOD_RELEASES}, "missing field 'n_participants'"),
+        (
+            {"n_participants": 4, "base_version": 5},
+            "base_version: expected a descriptor string, got 5",
+        ),
+        (
+            {"n_participants": 4, "releases": [{"time_s": 0, "version": 5}]},
+            "release 0: version: expected a descriptor string, got 5",
+        ),
+        (
+            {"n_participants": 4, "start_time": 5},
+            "start_time: expected a timestamp string, got 5",
+        ),
+        (
+            {"n_participants": 4, "track_genealogies": "no"},
+            "track_genealogies: expected true or false, got 'no'",
+        ),
+    ],
+)
+def test_sim_redeploy_hostile_field_names_it(capsys, tmp_path, doc, problem):
+    if isinstance(doc, dict):
+        doc = {"releases": _GOOD_RELEASES, **doc}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "sim-redeploy", "--config", str(config))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {config}: {problem}\n"
+
+
 def test_sim_redeploy_bad_json_names_line(capsys, tmp_path):
     config = tmp_path / "broken.json"
     config.write_text('{"n_participants": 8,\n  oops\n}')

@@ -1,15 +1,19 @@
 """Tests for manifests, tampering, cross-verification and the trust
 simulation."""
 
+import copy
 import datetime
+import math
 import random
+import statistics
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from replikey import genealogy as gen
 from replikey.integrity import (
+    _TAMPERED_VERSION,
     IntegrityManifest,
     ManifestParseError,
     MeetingResult,
@@ -36,6 +40,15 @@ from replikey.replicator import (
     FileEntry,
     ImageManifest,
     KeyState,
+)
+from replikey.spreadsim import (
+    DEFAULT_CAPACITY_KIB,
+    _DEFAULT_VERSION,
+    _EPOCH,
+    _IMAGE_BYTES,
+    _SQUASHFS,
+    _key_ids,
+    _manifest,
 )
 
 UTC = datetime.timezone.utc
@@ -462,6 +475,157 @@ def test_trust_sim_config_validation():
         TrustSimConfig(4, 1, -1, Protocol.RANDOM_DRAW)
     with pytest.raises(ValueError):
         TrustSimConfig(4, 1, 1, "random-draw")
+
+
+@pytest.mark.parametrize("field", ["population", "tampered_initial", "meetings"])
+@pytest.mark.parametrize("value", ["4", 2.0, True, None])
+def test_trust_sim_config_names_non_integer_field(field, value):
+    fields = {"population": 4, "tampered_initial": 1, "meetings": 3}
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"^{field}: expected an integer, got "):
+        TrustSimConfig(**fields, protocol=Protocol.RANDOM_DRAW)
+
+
+def _reference_trust_sim(config):
+    """run_trust_sim as first written, kept as the reference: every key
+    built up front, the unflagged pool rebuilt and the compromised keys
+    recounted over the whole population after every meeting."""
+    rng = random.Random(config.rng_seed)
+    base = _manifest(_DEFAULT_VERSION, _IMAGE_BYTES)
+    fake = _manifest(_TAMPERED_VERSION, _IMAGE_BYTES)
+    keys = {}
+    for i, key_id in enumerate(_key_ids(config.population)):
+        if i < config.tampered_initial:
+            key = KeyState.from_manifest(fake, DEFAULT_CAPACITY_KIB, _EPOCH)
+            key = tamper(key, TamperAction(TamperKind.MODIFY_FILE, _SQUASHFS))
+        else:
+            key = KeyState.from_manifest(base, DEFAULT_CAPACITY_KIB, _EPOCH)
+        keys[key_id] = key
+    ids = sorted(keys)
+    quarantined = set()
+    detections = false_negatives = idle = 0
+
+    def infected():
+        return sum(1 for k in keys.values() if k.compromised)
+
+    trajectory = [infected()]
+    for step in range(config.meetings):
+        pool = [i for i in ids if i not in quarantined]
+        if len(pool) < 2:
+            idle += 1
+            trajectory.append(trajectory[-1])
+            continue
+        id_a, id_b = rng.sample(pool, 2)
+        now = _EPOCH + datetime.timedelta(minutes=step + 1)
+        result = meeting(keys[id_a], keys[id_b], config.protocol, rng, now=now)
+        keys[id_a], keys[id_b] = result.keys
+        if result.verdict.passed:
+            if keys[id_a].compromised or keys[id_b].compromised:
+                false_negatives += 1
+        else:
+            detections += 1
+            if config.quarantine_flagged:
+                quarantined.add((id_a, id_b)[result.flagged])
+        trajectory.append(infected())
+    return (tuple(trajectory), detections, false_negatives, len(quarantined)), idle
+
+
+def _summary(result):
+    return (
+        result.infected_over_time,
+        result.detections,
+        result.false_negatives,
+        result.quarantined,
+    )
+
+
+@st.composite
+def _trust_configs(draw):
+    population = draw(st.integers(1, 40))
+    return TrustSimConfig(
+        population=population,
+        tampered_initial=draw(st.integers(0, population)),
+        meetings=draw(st.integers(0, 300)),
+        protocol=draw(st.sampled_from(list(Protocol))),
+        rng_seed=draw(st.integers(0, 2**64)),
+        quarantine_flagged=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_trust_configs())
+@example(TrustSimConfig(2, 1, 5, Protocol.TWO_KEY_OWNER, 0))
+def test_trust_sim_matches_full_recount_property(config):
+    """The running infected count, the pool changed only on quarantine
+    and the keys built on first draw give exactly the result of the
+    full rebuild and recount after every meeting."""
+    expected, _ = _reference_trust_sim(config)
+    assert _summary(run_trust_sim(config)) == expected
+
+
+def test_trust_sim_idles_once_pool_drops_below_two():
+    """Two keys, one tampered: the spare key flags the upgraded one in
+    the first meeting, quarantine leaves a lone key and every later slot
+    passes with no encounter."""
+    config = TrustSimConfig(2, 1, 5, Protocol.TWO_KEY_OWNER, 0)
+    _, idle = _reference_trust_sim(config)
+    assert idle == 4
+    res = run_trust_sim(config)
+    assert res.quarantined == 1
+    assert res.infected_over_time == (1, 2, 2, 2, 2, 2)
+
+
+def test_trust_sim_builds_only_drawn_keys(monkeypatch):
+    """Setup does not grow with the population: one template key per
+    kind comes from an image, and each key in play is a copy, made up
+    front for the tampered keys and on first draw for a clean one. At
+    100,000 keys and 50 meetings no more than tampered_initial + 100
+    keys exist."""
+    calls = {"from_manifest": 0, "copy": 0}
+    from_manifest, real_copy = KeyState.from_manifest, copy.copy
+
+    def counting_from_manifest(*args, **kwargs):
+        calls["from_manifest"] += 1
+        return from_manifest(*args, **kwargs)
+
+    def counting_copy(obj):
+        calls["copy"] += isinstance(obj, KeyState)
+        return real_copy(obj)
+
+    monkeypatch.setattr(KeyState, "from_manifest", counting_from_manifest)
+    monkeypatch.setattr(copy, "copy", counting_copy)
+    config = TrustSimConfig(100_000, 3, 50, Protocol.RANDOM_DRAW, 9)
+    res = run_trust_sim(config)
+    assert len(res.infected_over_time) == 51
+    assert calls["from_manifest"] == 2
+    assert config.tampered_initial < calls["copy"] <= config.tampered_initial + 100
+
+
+def test_newest_boots_follows_mean_field_logistic():
+    """Under newest-boots no check ever runs, so nothing is quarantined
+    and a uniformly drawn pair spreads the infection exactly when it
+    holds one infected and one clean key, with probability
+    2 I (N - I) / (N (N - 1)). The mean-field curve of this random
+    pairwise (anti-entropy) process, as in Demers et al. 1987,
+    "Epidemic algorithms for replicated database maintenance", is the
+    logistic I(m) = N / (1 + (N / I0 - 1) exp(-2 m / (N - 1))).
+
+    The mean of ten runs at N = 2,000 and I0 = 20 must stay within a
+    band of it that narrows as the curve saturates. Each band is about
+    three standard errors of a ten-run mean, estimated from 40 runs;
+    the stochastic early phase runs a few per cent above the curve. A
+    rate 10 % off the logistic's misses every band from m = 2,000 on.
+    """
+    n, i0, meetings = 2_000, 20, 8_000
+    runs = [
+        run_trust_sim(TrustSimConfig(n, i0, meetings, Protocol.NEWEST_BOOTS, seed))
+        for seed in range(10)
+    ]
+    assert all(r.quarantined == r.detections == 0 for r in runs)
+    for m, band in ((1_000, 0.15), (2_000, 0.15), (4_000, 0.12), (6_000, 0.04), (8_000, 0.01)):
+        logistic = n / (1 + (n / i0 - 1) * math.exp(-2 * m / (n - 1)))
+        mean = statistics.fmean(r.infected_over_time[m] for r in runs)
+        assert abs(mean / logistic - 1) <= band, (m, mean, logistic)
 
 
 def test_trust_sim_json_shape():
