@@ -29,7 +29,8 @@ import datetime
 import enum
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 __all__ = [
     "EventKind",
@@ -91,7 +92,7 @@ def _check_field(name: str, value: str, allow_space: bool = False) -> None:
         # a leading or trailing dash would fuse with the ' - ' separators
         # around the field and change how the line splits back
         raise ValueError(f"{name} must not start or end with '-': {value!r}")
-    if not allow_space and any(c.isspace() for c in value):
+    if not allow_space and len(value.split()) > 1:
         raise ValueError(f"{name} must be a single token: {value!r}")
 
 
@@ -225,7 +226,7 @@ class Genealogy:
 
 @dataclass(frozen=True)
 class LineageStats:
-    """Recursive counts over a genealogy, embedded donor records included."""
+    """Counts over a genealogy, embedded donor records included."""
 
     birth_count: int = 0
     spawn_count: int = 0
@@ -240,15 +241,8 @@ class LineageStats:
 # parsing
 
 
-@dataclass(frozen=True)
-class _Line:
-    lineno: int
-    indent: int
-    tag: str
-    payload: str
-
-
-def _tokenize(text: str) -> list[_Line]:
+def _tokenize(text: str) -> list[tuple[int, int, str, str]]:
+    """The non-blank lines as ``(lineno, indent, tag, payload)`` tuples."""
     tokens = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
@@ -261,7 +255,7 @@ def _tokenize(text: str) -> list[_Line]:
         tag, _, payload = stripped.partition(" ")
         if tag not in ("p", "i", "s", "u"):
             raise GenealogyParseError(lineno, f"unknown line tag {tag!r}")
-        tokens.append(_Line(lineno, indent, tag, payload.strip()))
+        tokens.append((lineno, indent, tag, payload.strip()))
     return tokens
 
 
@@ -274,26 +268,24 @@ def _parse_timestamp(text: str, lineno: int) -> datetime.datetime:
         raise GenealogyParseError(lineno, f"malformed timestamp {text!r}: {exc}") from None
 
 
-def _parse_event(tok: _Line) -> GenealogyEvent:
-    fields = _FIELD_SEP_RE.split(tok.payload)
+def _parse_event(lineno: int, tag: str, payload: str) -> GenealogyEvent:
+    fields = _FIELD_SEP_RE.split(payload)
     if len(fields) != 4:
-        raise GenealogyParseError(
-            tok.lineno, f"expected 4 event fields, got {len(fields)}"
-        )
+        raise GenealogyParseError(lineno, f"expected 4 event fields, got {len(fields)}")
     ts_text, locale, capacity_text, batch_text = (f.strip() for f in fields)
-    timestamp = _parse_timestamp(ts_text, tok.lineno)
+    timestamp = _parse_timestamp(ts_text, lineno)
     try:
         capacity = int(capacity_text)
         batch = int(batch_text)
     except ValueError:
         raise GenealogyParseError(
-            tok.lineno, f"malformed integer field in {tok.payload!r}"
+            lineno, f"malformed integer field in {payload!r}"
         ) from None
-    kind = EventKind.BIRTH if tok.tag == "i" else EventKind.SPAWN
+    kind = EventKind.BIRTH if tag == "i" else EventKind.SPAWN
     try:
         return GenealogyEvent(kind, timestamp, locale, capacity, batch)
     except ValueError as exc:
-        raise GenealogyParseError(tok.lineno, str(exc)) from None
+        raise GenealogyParseError(lineno, str(exc)) from None
 
 
 def _parse_provenance(text: str, lineno: int) -> ProvenanceHeader:
@@ -303,62 +295,18 @@ def _parse_provenance(text: str, lineno: int) -> ProvenanceHeader:
         raise GenealogyParseError(lineno, f"malformed provenance descriptor: {exc}") from None
 
 
-def _parse_record(
-    toks: list[_Line],
-    i: int,
-    base_indent: int,
-    inline_prov: ProvenanceHeader | None,
-) -> tuple[Genealogy, int]:
-    """Parse one record's lines starting at ``toks[i]``.
-
-    The record claims every line with indent >= base_indent until a
-    shallower line (or the end of input) hands control back to the
-    caller.  A "u" line opens a donor block whose level is set by the
-    first following deeper line.
-    """
-    provenance = inline_prov
-    events: list = []
-    while i < len(toks) and toks[i].indent >= base_indent:
-        tok = toks[i]
-        if tok.tag == "p":
-            if provenance is not None:
-                raise GenealogyParseError(tok.lineno, "provenance already given")
-            if events:
-                raise GenealogyParseError(
-                    tok.lineno, "provenance header must precede events"
-                )
-            provenance = _parse_provenance(tok.payload, tok.lineno)
-            i += 1
-        elif tok.tag in ("i", "s"):
-            events.append(_parse_event(tok))
-            i += 1
-        else:  # "u"
-            has_p = False
-            desc_text = tok.payload
-            if desc_text == "p" or desc_text.startswith("p "):
-                has_p = True
-                desc_text = desc_text[1:].strip()
-            if has_p and not desc_text:
-                raise GenealogyParseError(
-                    tok.lineno, "provenance descriptor expected after 'u p'"
-                )
-            donor_prov = (
-                _parse_provenance(desc_text, tok.lineno) if desc_text else None
-            )
-            if i + 1 < len(toks) and toks[i + 1].indent > tok.indent:
-                donor, i = _parse_record(toks, i + 1, toks[i + 1].indent, donor_prov)
-            else:
-                donor = Genealogy(provenance=donor_prov)
-                i += 1
-            if donor.provenance is None and not donor.events:
-                raise GenealogyParseError(
-                    tok.lineno, "upgrade with no donor events and no descriptor"
-                )
-            try:
-                events.append(UpgradeEvent(donor=donor, donor_has_provenance=has_p))
-            except ValueError as exc:
-                raise GenealogyParseError(tok.lineno, str(exc)) from None
-    return Genealogy(provenance=provenance, events=tuple(events)), i
+def _close_donor(stack: list) -> None:
+    """Pop the innermost open donor block into an upgrade of its host."""
+    _, provenance, events, lineno, has_p = stack.pop()
+    if provenance is None and not events:
+        raise GenealogyParseError(
+            lineno, "upgrade with no donor events and no descriptor"
+        )
+    donor = Genealogy(provenance=provenance, events=tuple(events))
+    try:
+        stack[-1][2].append(UpgradeEvent(donor=donor, donor_has_provenance=has_p))
+    except ValueError as exc:
+        raise GenealogyParseError(lineno, str(exc)) from None
 
 
 def parse(text: bytes | str) -> Genealogy:
@@ -367,7 +315,8 @@ def parse(text: bytes | str) -> Genealogy:
     Accepts canonical output as well as hand-written indentation.  Raises
     GenealogyParseError (naming the line) for malformed input; emits
     GenealogyWarning for lint-level issues such as out-of-order
-    timestamps.
+    timestamps.  Open records are kept on an explicit stack, so nesting
+    depth is bounded only by memory.
     """
     if isinstance(text, bytes):
         try:
@@ -375,9 +324,37 @@ def parse(text: bytes | str) -> Genealogy:
         except UnicodeDecodeError as exc:
             raise GenealogyParseError(0, f"input is not valid UTF-8: {exc}") from None
     toks = _tokenize(text)
-    record, i = _parse_record(toks, 0, 0, None)
-    if i != len(toks):  # unreachable with base_indent 0; kept as a guard
-        raise GenealogyParseError(toks[i].lineno, "unattributed trailing line")
+    # one frame per open record: [level, provenance, events, "u" lineno, has_p];
+    # a record claims every line at least as deep as its level
+    stack: list = [[0, None, [], 0, False]]
+    for k, (lineno, indent, tag, payload) in enumerate(toks):
+        while indent < stack[-1][0]:
+            _close_donor(stack)
+        frame = stack[-1]
+        if tag == "p":
+            if frame[1] is not None:
+                raise GenealogyParseError(lineno, "provenance already given")
+            if frame[2]:
+                raise GenealogyParseError(lineno, "provenance header must precede events")
+            frame[1] = _parse_provenance(payload, lineno)
+        elif tag != "u":
+            frame[2].append(_parse_event(lineno, tag, payload))
+        else:
+            has_p = payload == "p" or payload.startswith("p ")
+            desc_text = payload[1:].strip() if has_p else payload
+            if has_p and not desc_text:
+                raise GenealogyParseError(
+                    lineno, "provenance descriptor expected after 'u p'"
+                )
+            donor_prov = _parse_provenance(desc_text, lineno) if desc_text else None
+            # the first following deeper line sets the donor block's level;
+            # without one the block is empty and the next line closes it
+            after = toks[k + 1][1] if k + 1 < len(toks) else 0
+            stack.append([max(after, indent + 1), donor_prov, [], lineno, has_p])
+    while len(stack) > 1:
+        _close_donor(stack)
+    _, provenance, events, _, _ = stack[0]
+    record = Genealogy(provenance=provenance, events=tuple(events))
     for message in lint(record):
         warnings.warn(message, GenealogyWarning, stacklevel=2)
     return record
@@ -509,41 +486,50 @@ def child_genealogy(parent: Genealogy, birth: GenealogyEvent) -> Genealogy:
 # analysis
 
 
+def _walk(g: Genealogy):
+    """Every event of ``g``, embedded donors included, in written order:
+    pre-order ``(level, index, event)`` triples from an explicit stack, so
+    nesting depth is bounded only by memory.  ``index`` is the event's
+    position in its own record, ``level`` that record's nesting depth."""
+    stack = [enumerate(g.events)]
+    while stack:
+        level = len(stack) - 1
+        for index, ev in stack[-1]:
+            yield level, index, ev
+            if isinstance(ev, UpgradeEvent):
+                stack.append(enumerate(ev.donor.events))
+                break
+        else:
+            stack.pop()
+
+
 def stats(g: Genealogy) -> LineageStats:
-    """Recursive lineage counters.
+    """Lineage counters over the whole record, embedded donors included.
 
     Provenance is counted per written "p" tag: the record's own header
     plus every upgrade whose donor descriptor was "p"-tagged on its "u"
     line.  first/last are the extreme timestamps over all events,
     embedded donors included.
     """
-    births = spawns = upgrades = provenances = 0
-    depth = 0
+    births = spawns = upgrades = depth = 0
+    provenances = 0 if g.provenance is None else 1
     first: datetime.datetime | None = None
     last: datetime.datetime | None = None
-
-    def visit_events(events: tuple, level: int) -> None:
-        nonlocal births, spawns, upgrades, provenances, depth, first, last
-        for ev in events:
-            if isinstance(ev, GenealogyEvent):
-                if ev.kind is EventKind.BIRTH:
-                    births += 1
-                else:
-                    spawns += 1
-                if first is None or ev.timestamp < first:
-                    first = ev.timestamp
-                if last is None or ev.timestamp > last:
-                    last = ev.timestamp
-            else:
-                upgrades += 1
-                if ev.donor_has_provenance:
-                    provenances += 1
-                depth = max(depth, level + 1)
-                visit_events(ev.donor.events, level + 1)
-
-    if g.provenance is not None:
-        provenances += 1
-    visit_events(g.events, 0)
+    for level, _, ev in _walk(g):
+        if isinstance(ev, UpgradeEvent):
+            upgrades += 1
+            if ev.donor_has_provenance:
+                provenances += 1
+            depth = max(depth, level + 1)
+            continue
+        if ev.kind is EventKind.BIRTH:
+            births += 1
+        else:
+            spawns += 1
+        if first is None or ev.timestamp < first:
+            first = ev.timestamp
+        if last is None or ev.timestamp > last:
+            last = ev.timestamp
     return LineageStats(
         birth_count=births,
         spawn_count=spawns,
@@ -579,29 +565,35 @@ def lint(g: Genealogy) -> list[str]:
     birth per generation.
     """
     messages: list[str] = []
+    # per open record: [previous timestamp, births before its first upgrade,
+    # upgraded, index of its upgrade in the host record]
+    records: list = [[None, 0, False, None]]
 
-    def visit(record: Genealogy, where: str) -> None:
-        prev: datetime.datetime | None = None
-        births_before_upgrade = 0
-        seen_upgrade = False
-        for idx, ev in enumerate(record.events):
-            if isinstance(ev, GenealogyEvent):
-                if prev is not None and ev.timestamp < prev:
-                    messages.append(
-                        f"{where}: event {idx} timestamp {ev.timestamp.isoformat(sep=' ')}"
-                        f" precedes {prev.isoformat(sep=' ')}"
-                    )
-                prev = ev.timestamp
-                if not seen_upgrade and ev.kind is EventKind.BIRTH:
-                    births_before_upgrade += 1
-            else:
-                prev = None  # a new contiguous run starts after the upgrade
-                seen_upgrade = True
-                visit(ev.donor, f"{where}/donor[{idx}]")
-        if seen_upgrade and births_before_upgrade > 1:
+    def where() -> str:  # the innermost open record, named only for a message
+        return "record" + "".join(f"/donor[{r[3]}]" for r in records[1:])
+
+    # the trailing level -1 entry closes every record still open
+    for level, idx, ev in chain(_walk(g), [(-1, 0, None)]):
+        while len(records) > level + 1:
+            _, births, upgraded, _ = records[-1]
+            if upgraded and births > 1:
+                messages.append(f"{where()}: {births} births before the first upgrade")
+            records.pop()
+        if ev is None:
+            break
+        state = records[-1]
+        if isinstance(ev, UpgradeEvent):
+            state[0] = None  # a new contiguous run starts after the upgrade
+            state[2] = True
+            records.append([None, 0, False, idx])
+            continue
+        prev = state[0]
+        if prev is not None and ev.timestamp < prev:
             messages.append(
-                f"{where}: {births_before_upgrade} births before the first upgrade"
+                f"{where()}: event {idx} timestamp {ev.timestamp.isoformat(sep=' ')}"
+                f" precedes {prev.isoformat(sep=' ')}"
             )
-
-    visit(g, "record")
+        state[0] = ev.timestamp
+        if not state[2] and ev.kind is EventKind.BIRTH:
+            state[1] += 1
     return messages

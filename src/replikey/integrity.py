@@ -34,11 +34,10 @@ from .spreadsim import (
     _EPOCH,
     _IMAGE_BYTES,
     _SQUASHFS,
-    _check_int,
     _key_ids,
     _manifest,
 )
-from .units import _json_text
+from .units import _check_int, _json_text
 
 __all__ = [
     "IntegrityError",

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import datetime
 import enum
-import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping
 
 from . import genealogy as gen
-from .units import MB, KIB, _json_text, as_fraction
+from .units import KIB, MB, _check_int, _expect, _json_text, _load_json, as_fraction
 
 __all__ = [
     "Bus",
@@ -634,24 +633,38 @@ def _key_to_json(key: KeyState, genealogy: str) -> dict:
     }
 
 
-def _key_from_json(doc: dict) -> KeyState:
-    files = {
-        path: FileEntry(
-            size_bytes=int(fields["size"]),
+def _int(where: str, doc: dict, name: str) -> int:
+    _check_int(f"{where}.{name}", doc[name])
+    return doc[name]
+
+
+def _str(where: str, doc: dict, name: str, default: str | None = None) -> str:
+    """``doc[name]`` as a string; ``default`` stands in for an absent field."""
+    value = doc[name] if default is None or name in doc else default
+    return _expect(f"{where}.{name}", value, str, "a string")
+
+
+def _key_from_json(where: str, doc) -> KeyState:
+    _expect(where, doc, dict, "an object")
+    files = {}
+    listed = _expect(f"{where}.files", doc["files"], dict, "an object")
+    for path, fields in listed.items():
+        at = f"{where}.files[{path!r}]"
+        _expect(at, fields, dict, "an object")
+        files[path] = FileEntry(
+            size_bytes=_int(at, fields, "size"),
             file_class=FileClass(fields["class"]),
-            content=fields.get("content", ""),
+            content=_str(at, fields, "content", ""),
         )
-        for path, fields in doc["files"].items()
-    }
     return KeyState(
-        version=gen.ProvenanceHeader.from_descriptor(doc["version"]),
+        version=gen.ProvenanceHeader.from_descriptor(_str(where, doc, "version")),
         files=files,
-        image_bytes=int(doc["image_bytes"]),
-        genealogy=gen.parse(doc["genealogy"]),
-        capacity_kib=int(doc["capacity_kib"]),
-        boot_path=doc["boot_path"],
-        locale=doc.get("locale"),
-        share_prefix=doc.get("share_prefix", "/share/"),
+        image_bytes=_int(where, doc, "image_bytes"),
+        genealogy=gen.parse(_str(where, doc, "genealogy")),
+        capacity_kib=_int(where, doc, "capacity_kib"),
+        boot_path=_str(where, doc, "boot_path"),
+        locale=None if doc.get("locale") is None else _str(where, doc, "locale"),
+        share_prefix=_str(where, doc, "share_prefix", "/share/"),
         compromised=bool(doc.get("compromised", False)),
     )
 
@@ -683,17 +696,21 @@ def inventory_to_json(inventory) -> str:
 
 def inventory_from_json(text: str):
     """Parse an inventory document produced by inventory_to_json (or
-    written by hand to the same schema)."""
-    doc = json.loads(text)
+    written by hand to the same schema).  A value of the wrong JSON type
+    is a ValueError naming it, such as ``devices[0]: expected an object``."""
+    doc = _load_json(text)
     devices = []
-    for item in doc["devices"]:
+    items = _expect("devices", doc["devices"], list, "a list")
+    for index, item in enumerate(items):
+        where = f"devices[{index}]"
+        _expect(where, item, dict, "an object")
         key = item.get("key")
         devices.append(
             VirtualDevice(
-                id=item["id"],
+                id=_str(where, item, "id"),
                 bus=Bus(item["bus"]),
-                capacity_kib=int(item["capacity_kib"]),
-                contents=None if key is None else _key_from_json(key),
+                capacity_kib=_int(where, item, "capacity_kib"),
+                contents=None if key is None else _key_from_json(f"{where}.key", key),
                 is_boot_source=bool(item.get("boot_source", False)),
                 foreign_data=bool(item.get("foreign_data", False)),
             )

@@ -18,14 +18,13 @@ transfer duration.  All arithmetic on times and rates is exact
 from __future__ import annotations
 
 import datetime
-import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import genealogy as gen
 from . import replicator as rep
-from .units import KIB, MB, _json_text, as_fraction, sig6
+from .units import KIB, MB, _check_int, _expect, _json_text, _load_json, as_fraction, sig6
 
 __all__ = [
     "SimConfig",
@@ -62,13 +61,6 @@ def _exact(name: str, value) -> Fraction:
         return as_fraction(value)
     except (TypeError, ValueError, ZeroDivisionError):
         raise ValueError(f"{name}: not an exact number: {value!r}") from None
-
-
-def _check_int(name: str, value) -> None:
-    """A ValueError naming the field unless ``value`` is an int (a bool
-    is not)."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name}: expected an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -438,7 +430,7 @@ def _header(name: str, value) -> gen.ProvenanceHeader:
 def sim_config_from_json(text: str) -> SimConfig:
     """Build a SimConfig from its JSON document form.  Rates may be given
     as numbers or strings; strings are parsed exactly."""
-    doc = json.loads(text)
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ValueError("expected a JSON object")
     if "n_participants" not in doc:
@@ -460,12 +452,10 @@ def sim_config_from_json(text: str) -> SimConfig:
     if "base_version" in doc:
         kwargs["base_version"] = _header("base_version", doc["base_version"])
     if "releases" in doc:
-        if not isinstance(doc["releases"], list):
-            raise ValueError("releases: expected a list")
         releases = []
-        for index, item in enumerate(doc["releases"]):
-            if not isinstance(item, dict):
-                raise ValueError(f"release {index}: expected an object")
+        items = _expect("releases", doc["releases"], list, "a list")
+        for index, item in enumerate(items):
+            _expect(f"release {index}", item, dict, "an object")
             for name in ("time_s", "version"):
                 if name not in item:
                     raise ValueError(f"release {index}: missing field {name!r}")

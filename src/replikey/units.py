@@ -33,6 +33,29 @@ def sig6(x) -> float:
     return float(f"{float(x):.6g}")
 
 
+def _check_int(name: str, value) -> None:
+    """A ValueError naming the field unless ``value`` is an int (a bool
+    is not)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+
+
+def _expect(name: str, value, kind: type, what: str):
+    """``value`` if it is a ``kind``, else a ValueError naming the field."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name}: expected {what}")
+    return value
+
+
+def _load_json(text: str):
+    """``json.loads``, with a document nested too deeply for the decoder
+    reported as a ValueError rather than a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON document nested too deeply") from None
+
+
 def _json_text(doc) -> str:
     """The toolkit's JSON output form: indented, keys sorted, one
     trailing newline."""

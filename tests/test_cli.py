@@ -1,7 +1,9 @@
 """Tests for the command line front end: subcommand behavior, exit
 codes, diagnostics, and byte-level determinism."""
 
+import contextlib
 import datetime
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import replikey
 from replikey import genealogy as gen
@@ -547,3 +550,149 @@ def test_trust_sim_cli(capsys):
     assert out1 == out2
     _, out3, _ = run(capsys, *args[:-1], "6")
     assert out1 != out3
+
+
+# ---------------------------------------------------------------------------
+# hostile JSON
+
+
+def _master_doc():
+    return json.loads(rep.inventory_to_json(two_key_inventory()))
+
+
+def _with_files(files):
+    doc = _master_doc()
+    doc["devices"][0]["key"]["files"] = files
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, problem",
+    [
+        ({"devices": [["x"]]}, "devices[0]: expected an object"),
+        ({"devices": {"sdb": {}}}, "devices: expected a list"),
+        (_with_files([1]), "devices[0].key.files: expected an object"),
+        (
+            _with_files({"/live/filesystem.squashfs": [1]}),
+            "devices[0].key.files['/live/filesystem.squashfs']: expected an object",
+        ),
+        (
+            {"devices": [{"id": ["sdb"], "bus": "usb", "capacity_kib": 1}]},
+            "devices[0].id: expected a string",
+        ),
+        (
+            {"devices": [{"id": "sdb", "bus": "usb", "capacity_kib": float("inf")}]},
+            "devices[0].capacity_kib: expected an integer, got inf",
+        ),
+    ],
+)
+def test_wrongly_typed_inventory_names_item(capsys, tmp_path, doc, problem):
+    path = tmp_path / "inventory.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "manifest", "--inventory", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: {problem}\n"
+
+
+@pytest.mark.parametrize("subcommand", ["manifest --inventory", "sim-redeploy --config"])
+def test_deeply_nested_json_is_one_error_line(capsys, tmp_path, subcommand):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code, out, err = run(capsys, *subcommand.split(), str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: JSON document nested too deeply\n"
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _slots(doc):
+    """``(container, key)`` for every value inside a JSON document."""
+    stack = [doc] if isinstance(doc, (dict, list)) else []
+    while stack:
+        container = stack.pop()
+        keys = list(container) if isinstance(container, dict) else range(len(container))
+        for key in keys:
+            yield container, key
+            if isinstance(container[key], (dict, list)):
+                stack.append(container[key])
+
+
+@st.composite
+def _hostile_texts(draw, valid):
+    """A valid document with a few values replaced or removed, any JSON
+    value at all, or arbitrary text."""
+    doc = json.loads(json.dumps(valid))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        if isinstance(container, dict) and draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(_json_values)
+    choice = draw(st.sampled_from(("mutated", "value", "text")))
+    if choice == "text":
+        return draw(st.text(max_size=20))
+    return json.dumps(doc if choice == "mutated" else draw(_json_values))
+
+
+def _dispatch_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    return code, err.getvalue()
+
+
+_FUZZ = settings(max_examples=150, deadline=None)
+
+
+@_FUZZ
+@given(_hostile_texts(_master_doc()))
+def test_fuzzed_inventory_exits_cleanly(tmp_path_factory, text):
+    base = tmp_path_factory.mktemp("fuzz")
+    inventory, reference = base / "inventory.json", base / "ref.txt"
+    inventory.write_text(text)
+    reference.write_text(integ.manifest_to_text(integ.build_manifest(master_key())))
+    for argv in (
+        ["manifest", "--inventory", str(inventory)],
+        ["verify", "--inventory", str(inventory), "--reference", str(reference)],
+        ["clone-plan", "--inventory", str(inventory)],
+    ):
+        code, err = _dispatch_quietly(argv)
+        assert code in (0, 1, 2)
+        assert err.count("\n") <= 1
+
+
+@_FUZZ
+@given(
+    _hostile_texts(
+        {
+            "n_participants": 6,
+            "seeds": 1,
+            "ports_per_host": 2,
+            "image_bytes": 2_700_000_000,
+            "capacity_kib": 7_812_500,
+            "bandwidth_mb_s": "9/2",
+            "setup_delay_s": 300,
+            "upgrade_ratio": 0.8,
+            "horizon_s": None,
+            "base_version": V0.descriptor(),
+            "start_time": "2013-02-17 13:01:00+00:00",
+            "track_genealogies": True,
+            "releases": [{"time_s": 0, "version": _V11}, {"time_s": 900, "version": _V11}],
+        }
+    )
+)
+def test_fuzzed_sim_config_exits_cleanly(tmp_path_factory, text):
+    config = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+    config.write_text(text)
+    code, err = _dispatch_quietly(["sim-redeploy", "--config", str(config)])
+    assert code in (0, 1, 2)
+    assert err.count("\n") <= 1

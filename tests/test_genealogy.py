@@ -3,12 +3,15 @@ record operations, and lineage statistics."""
 
 import dataclasses
 import datetime
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from replikey import genealogy as gen
+from replikey.cli import dispatch
 from replikey.genealogy import (
     EventKind,
     Genealogy,
@@ -781,3 +784,257 @@ def test_serialize_5000_nested_upgrades():
         assert _nesting_levels(text) == list(range(top + 1))
         assert all(line.lstrip(" ") == "u" for line in lines[:-1])
         assert lines[-1].lstrip(" ").startswith("i 2013-02-17 13:01:38+00:00 - ")
+
+
+# ---------------------------------------------------------------------------
+# reference copies of the recursive walks, one Python frame per level; the
+# iterative parse, stats and lint must agree with them exactly
+
+
+def _reference_parse_record(toks, i, base_indent, inline_prov):
+    provenance = inline_prov
+    events: list = []
+    while i < len(toks) and toks[i][1] >= base_indent:
+        lineno, indent, tag, payload = toks[i]
+        if tag == "p":
+            if provenance is not None:
+                raise GenealogyParseError(lineno, "provenance already given")
+            if events:
+                raise GenealogyParseError(lineno, "provenance header must precede events")
+            provenance = gen._parse_provenance(payload, lineno)
+            i += 1
+        elif tag in ("i", "s"):
+            events.append(gen._parse_event(lineno, tag, payload))
+            i += 1
+        else:
+            has_p = False
+            desc_text = payload
+            if desc_text == "p" or desc_text.startswith("p "):
+                has_p = True
+                desc_text = desc_text[1:].strip()
+            if has_p and not desc_text:
+                raise GenealogyParseError(lineno, "provenance descriptor expected after 'u p'")
+            donor_prov = gen._parse_provenance(desc_text, lineno) if desc_text else None
+            if i + 1 < len(toks) and toks[i + 1][1] > indent:
+                donor, i = _reference_parse_record(toks, i + 1, toks[i + 1][1], donor_prov)
+            else:
+                donor = Genealogy(provenance=donor_prov)
+                i += 1
+            if donor.provenance is None and not donor.events:
+                raise GenealogyParseError(
+                    lineno, "upgrade with no donor events and no descriptor"
+                )
+            try:
+                events.append(UpgradeEvent(donor=donor, donor_has_provenance=has_p))
+            except ValueError as exc:
+                raise GenealogyParseError(lineno, str(exc)) from None
+    return Genealogy(provenance=provenance, events=tuple(events)), i
+
+
+def _reference_parse(text: str) -> Genealogy:
+    toks = gen._tokenize(text)
+    record, i = _reference_parse_record(toks, 0, 0, None)
+    assert i == len(toks)
+    return record
+
+
+def _reference_stats(g: Genealogy) -> LineageStats:
+    counts = {"i": 0, "s": 0, "u": 0, "p": 0 if g.provenance is None else 1}
+    depth = 0
+    stamps = []
+
+    def visit(events, level):
+        nonlocal depth
+        for ev in events:
+            if isinstance(ev, GenealogyEvent):
+                counts[ev.kind.value] += 1
+                stamps.append(ev.timestamp)
+            else:
+                counts["u"] += 1
+                counts["p"] += bool(ev.donor_has_provenance)
+                depth = max(depth, level + 1)
+                visit(ev.donor.events, level + 1)
+
+    visit(g.events, 0)
+    return LineageStats(
+        birth_count=counts["i"],
+        spawn_count=counts["s"],
+        upgrade_count=counts["u"],
+        provenance_count=counts["p"],
+        max_embedding_depth=depth,
+        first_event=min(stamps, default=None),
+        last_event=max(stamps, default=None),
+    )
+
+
+def _reference_lint(g: Genealogy) -> list:
+    messages = []
+
+    def visit(record, where):
+        prev = None
+        births_before_upgrade = 0
+        seen_upgrade = False
+        for idx, ev in enumerate(record.events):
+            if isinstance(ev, GenealogyEvent):
+                if prev is not None and ev.timestamp < prev:
+                    messages.append(
+                        f"{where}: event {idx} timestamp {ev.timestamp.isoformat(sep=' ')}"
+                        f" precedes {prev.isoformat(sep=' ')}"
+                    )
+                prev = ev.timestamp
+                if not seen_upgrade and ev.kind is EventKind.BIRTH:
+                    births_before_upgrade += 1
+            else:
+                prev = None
+                seen_upgrade = True
+                visit(ev.donor, f"{where}/donor[{idx}]")
+        if seen_upgrade and births_before_upgrade > 1:
+            messages.append(f"{where}: {births_before_upgrade} births before the first upgrade")
+
+    visit(g, "record")
+    return messages
+
+
+def _outcome(parser, text):
+    """The record ``parser`` builds, or the line and reason it refuses."""
+    try:
+        return parser(text)
+    except GenealogyParseError as exc:
+        return ("refused", exc.lineno, exc.reason)
+
+
+def _check_against_reference(text):
+    got = _outcome(_parse_quiet, text)
+    assert got == _outcome(_reference_parse, text)
+    if isinstance(got, Genealogy):
+        assert stats(got) == _reference_stats(got)
+        assert lint(got) == _reference_lint(got)
+
+
+@given(_shared_histories())
+def test_walks_match_reference_on_shared_histories(records):
+    for g in records:
+        assert stats(g) == _reference_stats(g)
+        assert lint(g) == _reference_lint(g)
+        _check_against_reference(serialize(g))
+
+
+_descriptor = _header.map(ProvenanceHeader.descriptor)
+_stray_lines = st.one_of(
+    st.just("u"),
+    _descriptor.map(lambda d: f"u p {d}"),
+    _descriptor.map(lambda d: f"u {d}"),
+    _descriptor.map(lambda d: f"p {d}"),
+    st.just("u p"),
+    st.just("p p 2013-01-01 C - stable - amd64"),  # an unflagged donor labelled "p"
+    st.just("i 2013-02-17 13:01:38+00:00 - C - 0 - 1"),
+    st.just("x junk"),
+    st.just("\ts 2013-02-17 13:01:38+00:00 - C - 1 - 1"),
+)
+
+
+@st.composite
+def _mutated_texts(draw):
+    """Serialized records with lines removed, repeated, swapped,
+    re-indented or inserted: lenient indentation and every parse error."""
+    source = draw(_genealogies | _shared_histories().map(lambda rs: rs[-1]))
+    lines = serialize(source).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(("drop", "repeat", "swap", "indent", "insert")))
+        at = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if op == "insert" or not lines:
+            pad = " " * draw(st.integers(0, 6))
+            lines.insert(at, pad + draw(_stray_lines))
+        elif op == "drop":
+            del lines[at]
+        elif op == "repeat":
+            lines.insert(at, lines[at])
+        elif op == "swap" and at + 1 < len(lines):
+            lines[at], lines[at + 1] = lines[at + 1], lines[at]
+        elif op == "indent":
+            body = lines[at].lstrip(" ")
+            lines[at] = " " * draw(st.integers(0, 8)) + body
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300)
+@given(_mutated_texts())
+def test_parse_matches_reference_on_mutated_text(text):
+    _check_against_reference(text)
+
+
+# ---------------------------------------------------------------------------
+# deep nesting: every walk is iterative, so depth is bounded only by memory
+
+_DEEP = 5000
+_DEEP_STATS = LineageStats(
+    birth_count=1,
+    spawn_count=1,
+    upgrade_count=_DEEP,
+    # the top record's header, plus the 2,499 odd donors below it
+    provenance_count=2500,
+    max_embedding_depth=_DEEP,
+    first_event=ts("2013-02-17 13:01:38+00:00"),
+    last_event=ts("2013-02-17 13:11:38+00:00"),
+)
+
+
+def _nested(depth: int, innermost: Genealogy) -> Genealogy:
+    """``depth`` upgrades, each donor embedding the next down to
+    ``innermost``; every other level carries a provenance header."""
+    header = ProvenanceHeader(
+        "Demo Live 1.0", datetime.date(2013, 1, 1), "en_US.UTF-8", "stable", "amd64"
+    )
+    g = innermost
+    for level in range(depth):
+        g = Genealogy(provenance=header if level % 2 else None, events=(UpgradeEvent(g),))
+    return g
+
+
+@pytest.fixture(scope="module")
+def deep_text() -> str:
+    innermost = (birth("2013-02-17 13:01:38+00:00"), spawn("2013-02-17 13:11:38+00:00"))
+    return serialize(_nested(_DEEP, Genealogy(events=innermost)))
+
+
+def test_parse_5000_nested_upgrades_round_trip(deep_text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", GenealogyWarning)
+        back = parse(deep_text)
+    # text and counts only: dataclass equality recurses once per level
+    assert serialize(back) == deep_text
+    assert stats(back) == _DEEP_STATS
+
+
+def test_cli_reads_5000_nested_upgrades(deep_text, tmp_path, capsys):
+    path = tmp_path / "deep.log"
+    path.write_text(deep_text)
+    assert dispatch(["genealogy-stats", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (
+        f"births=1 spawns=1 upgrades={_DEEP}\n"
+        "provenance_headers=2500\n"
+        f"max_embedding_depth={_DEEP}\n"
+        "first_event=2013-02-17 13:01:38+00:00\n"
+        "last_event=2013-02-17 13:11:38+00:00\n",
+        "",
+    )
+    assert dispatch(["genealogy-parse", str(path)]) == 0
+    assert capsys.readouterr() == (deep_text, "")
+
+
+def test_lint_5000_levels_builds_locations_only_for_messages():
+    late, early = birth("2013-02-17 13:11:38+00:00"), birth("2013-02-17 13:01:38+00:00")
+    g = _nested(_DEEP, Genealogy(events=(late, early)))
+    tracemalloc.start()
+    try:
+        messages = lint(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert messages == [
+        "record" + "/donor[0]" * _DEEP + ": event 1 timestamp 2013-02-17 13:01:38+00:00"
+        " precedes 2013-02-17 13:11:38+00:00"
+    ]
+    # a location string per level would take about 150 MB
+    assert peak < 20 * 2**20
