@@ -12,174 +12,21 @@ Five layers, each importable on its own:
   seeded simulation of meeting protocols.
 - cli: the `replikey` command exposing all of the above over files.
 
-The most common entry points are re-exported here.
+Every name in the four library modules' ``__all__`` is re-exported here.
 """
 
-from .genealogy import (
-    EventKind,
-    Genealogy,
-    GenealogyEvent,
-    GenealogyParseError,
-    GenealogyWarning,
-    LineageStats,
-    ProvenanceHeader,
-    UpgradeEvent,
-    child_genealogy,
-    lint,
-    own_spawn_count,
-    parse,
-    record_birth,
-    record_spawn,
-    record_upgrade,
-    serialize,
-    serialize_many,
-    stats,
-)
-from .replicator import (
-    Bus,
-    CapacityExceeded,
-    CloneMode,
-    ClonePlan,
-    DEFAULT_UPGRADE_RATIO,
-    FileClass,
-    FileEntry,
-    ImageManifest,
-    KeyState,
-    OverwriteNotConfirmed,
-    RefusalNotTwoUsb,
-    RefusalTargetIsSource,
-    ReplicationError,
-    TargetNotBlank,
-    VirtualDevice,
-    apply_transfer,
-    classify_paths,
-    execute_plan,
-    inventory_from_json,
-    inventory_to_json,
-    plan_clone,
-    plan_upgrade,
-    select_target,
-    share_merge,
-)
-from .spreadsim import (
-    DEFAULT_CAPACITY_KIB,
-    SimConfig,
-    SimResult,
-    rounds_closed_form,
-    run_redeployment,
-    run_room,
-    sim_config_from_json,
-    sim_result_to_json,
-    summarize,
-    time_series_rows,
-)
-from .integrity import (
-    IntegrityError,
-    IntegrityManifest,
-    ManifestParseError,
-    MeetingResult,
-    Outcome,
-    Protocol,
-    TamperAction,
-    TamperError,
-    TamperKind,
-    TrustSimConfig,
-    TrustSimResult,
-    Verdict,
-    build_manifest,
-    check_against,
-    content_digest,
-    expected_manifest,
-    manifest_from_text,
-    manifest_to_text,
-    meeting,
-    run_trust_sim,
-    tamper,
-    trust_sim_result_to_json,
-    verify,
-)
+from . import genealogy, integrity, replicator, spreadsim
+from .genealogy import *
+from .replicator import *
+from .spreadsim import *
+from .integrity import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # genealogy
-    "EventKind",
-    "Genealogy",
-    "GenealogyEvent",
-    "GenealogyParseError",
-    "GenealogyWarning",
-    "LineageStats",
-    "ProvenanceHeader",
-    "UpgradeEvent",
-    "child_genealogy",
-    "lint",
-    "own_spawn_count",
-    "parse",
-    "record_birth",
-    "record_spawn",
-    "record_upgrade",
-    "serialize",
-    "serialize_many",
-    "stats",
-    # replicator
-    "Bus",
-    "CapacityExceeded",
-    "CloneMode",
-    "ClonePlan",
-    "DEFAULT_UPGRADE_RATIO",
-    "FileClass",
-    "FileEntry",
-    "ImageManifest",
-    "KeyState",
-    "OverwriteNotConfirmed",
-    "RefusalNotTwoUsb",
-    "RefusalTargetIsSource",
-    "ReplicationError",
-    "TargetNotBlank",
-    "VirtualDevice",
-    "apply_transfer",
-    "classify_paths",
-    "execute_plan",
-    "inventory_from_json",
-    "inventory_to_json",
-    "plan_clone",
-    "plan_upgrade",
-    "select_target",
-    "share_merge",
-    # spreadsim
-    "DEFAULT_CAPACITY_KIB",
-    "SimConfig",
-    "SimResult",
-    "rounds_closed_form",
-    "run_redeployment",
-    "run_room",
-    "sim_config_from_json",
-    "sim_result_to_json",
-    "summarize",
-    "time_series_rows",
-    # integrity
-    "IntegrityError",
-    "IntegrityManifest",
-    "ManifestParseError",
-    "MeetingResult",
-    "Outcome",
-    "Protocol",
-    "TamperAction",
-    "TamperError",
-    "TamperKind",
-    "TrustSimConfig",
-    "TrustSimResult",
-    "Verdict",
-    "build_manifest",
-    "check_against",
-    "content_digest",
-    "expected_manifest",
-    "manifest_from_text",
-    "manifest_to_text",
-    "meeting",
-    "run_trust_sim",
-    "tamper",
-    "trust_sim_result_to_json",
-    "verify",
+    *genealogy.__all__,
+    *replicator.__all__,
+    *spreadsim.__all__,
+    *integrity.__all__,
 ]

@@ -41,20 +41,37 @@ class CliError(Exception):
 # shared plumbing
 
 
-def _read_bytes(path: str) -> bytes:
+def _load(path: str, read):
+    """``read`` applied to the UTF-8 text of the file at ``path``.
+
+    Every input file goes through here: a failure to read or decode it,
+    or any error ``read`` raises for its content, becomes a one-line
+    CliError naming the file.  Once ``read`` succeeds, each warning it
+    emitted (genealogy lint findings) becomes one ``warning: <path>: ...``
+    line on stderr.
+    """
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            data = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
-
-
-def _read_text(path: str) -> str:
-    data = _read_bytes(path)
     try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{path}: not valid UTF-8") from exc
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise CliError(f"{path}: not valid UTF-8") from None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            loaded = read(text)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+        except KeyError as exc:
+            raise CliError(f"{path}: missing field {exc.args[0]!r}") from exc
+        except (TypeError, ValueError, integ.IntegrityError) as exc:
+            raise CliError(f"{path}: {exc}") from exc
+    for w in caught:
+        print(f"warning: {path}: {w.message}", file=sys.stderr)
+    return loaded
 
 
 def _emit(text: str, out_path):
@@ -66,35 +83,6 @@ def _emit(text: str, out_path):
             fh.write(text)
     except OSError as exc:
         raise CliError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
-
-
-def _parse_genealogy(path: str) -> gen.Genealogy:
-    """Parse a genealogy file, forwarding lint findings to stderr as
-    warnings and failing with the file and line on malformed text."""
-    data = _read_bytes(path)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            parsed = gen.parse(data)
-        except gen.GenealogyParseError as exc:
-            raise CliError(f"{path}: {exc}") from exc
-    for w in caught:
-        print(f"warning: {path}: {w.message}", file=sys.stderr)
-    return parsed
-
-
-def _load_inventory(path: str):
-    text = _read_text(path)
-    try:
-        return rep.inventory_from_json(text)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    except gen.GenealogyParseError as exc:
-        raise CliError(f"{path}: genealogy: {exc}") from exc
-    except (KeyError, TypeError) as exc:
-        raise CliError(f"{path}: not an inventory document ({exc})") from exc
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from exc
 
 
 def _find_device(inventory, device_id):
@@ -137,11 +125,11 @@ def _arg_timestamp(text: str) -> datetime.datetime:
 
 
 def _cmd_genealogy_parse(args) -> str:
-    return gen.serialize(_parse_genealogy(args.input))
+    return gen.serialize(_load(args.input, gen.parse))
 
 
 def _cmd_genealogy_stats(args) -> str:
-    s = gen.stats(_parse_genealogy(args.input))
+    s = gen.stats(_load(args.input, gen.parse))
     if args.format == "json":
         doc = {
             "births": s.birth_count,
@@ -201,12 +189,12 @@ def _plan_to_json(plan: rep.ClonePlan) -> str:
 
 
 def _cmd_clone_plan(args) -> str:
-    inventory = _load_inventory(args.inventory)
+    inventory = _load(args.inventory, rep.inventory_from_json)
     return _plan_to_json(_make_plan(args, inventory))
 
 
 def _cmd_clone_exec(args) -> str:
-    inventory = _load_inventory(args.inventory)
+    inventory = _load(args.inventory, rep.inventory_from_json)
     plan = _make_plan(args, inventory)
     updated = rep.execute_plan(plan, inventory, args.at)
     return rep.inventory_to_json(updated)
@@ -239,13 +227,7 @@ def _cmd_sim_room(args) -> str:
 
 
 def _cmd_sim_redeploy(args) -> str:
-    text = _read_text(args.config)
-    try:
-        config = sim.sim_config_from_json(text)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{args.config}: line {exc.lineno}: {exc.msg}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"{args.config}: {exc}") from exc
+    config = _load(args.config, sim.sim_config_from_json)
     try:
         result = sim.run_redeployment(config)
     except ValueError as exc:
@@ -270,7 +252,7 @@ def _cmd_trust_sim(args) -> str:
 
 
 def _cmd_manifest(args) -> str:
-    inventory = _load_inventory(args.inventory)
+    inventory = _load(args.inventory, rep.inventory_from_json)
     device = _find_device(inventory, args.device)
     if device.contents is None:
         raise CliError(f"device {device.id!r} holds no key")
@@ -278,15 +260,11 @@ def _cmd_manifest(args) -> str:
 
 
 def _cmd_verify(args) -> str:
-    inventory = _load_inventory(args.inventory)
+    inventory = _load(args.inventory, rep.inventory_from_json)
     device = _find_device(inventory, args.device)
     if device.contents is None:
         raise CliError(f"device {device.id!r} holds no key")
-    text = _read_text(args.reference)
-    try:
-        reference = integ.manifest_from_text(text)
-    except integ.ManifestParseError as exc:
-        raise CliError(f"{args.reference}: {exc}") from exc
+    reference = _load(args.reference, integ.manifest_from_text)
     verdict = integ.check_against(device.contents, reference)
     out = f"verdict={verdict.outcome.value}\n"
     if verdict.offending_path is not None:

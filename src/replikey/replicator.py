@@ -37,6 +37,7 @@ __all__ = [
     "TargetNotBlank",
     "OverwriteNotConfirmed",
     "CapacityExceeded",
+    "DEFAULT_UPGRADE_RATIO",
     "apply_transfer",
     "select_target",
     "classify_paths",
@@ -644,6 +645,11 @@ def _str(where: str, doc: dict, name: str, default: str | None = None) -> str:
     return _expect(f"{where}.{name}", value, str, "a string")
 
 
+def _bool(where: str, doc: dict, name: str) -> bool:
+    """``doc[name]`` as a JSON boolean; an absent field is false."""
+    return _expect(f"{where}.{name}", doc.get(name, False), bool, "true or false")
+
+
 def _key_from_json(where: str, doc) -> KeyState:
     _expect(where, doc, dict, "an object")
     files = {}
@@ -656,16 +662,20 @@ def _key_from_json(where: str, doc) -> KeyState:
             file_class=FileClass(fields["class"]),
             content=_str(at, fields, "content", ""),
         )
+    try:
+        genealogy = gen.parse(_str(where, doc, "genealogy"))
+    except gen.GenealogyParseError as exc:
+        raise ValueError(f"{where}.genealogy: {exc}") from exc
     return KeyState(
         version=gen.ProvenanceHeader.from_descriptor(_str(where, doc, "version")),
         files=files,
         image_bytes=_int(where, doc, "image_bytes"),
-        genealogy=gen.parse(_str(where, doc, "genealogy")),
+        genealogy=genealogy,
         capacity_kib=_int(where, doc, "capacity_kib"),
         boot_path=_str(where, doc, "boot_path"),
         locale=None if doc.get("locale") is None else _str(where, doc, "locale"),
         share_prefix=_str(where, doc, "share_prefix", "/share/"),
-        compromised=bool(doc.get("compromised", False)),
+        compromised=_bool(where, doc, "compromised"),
     )
 
 
@@ -697,7 +707,9 @@ def inventory_to_json(inventory) -> str:
 def inventory_from_json(text: str):
     """Parse an inventory document produced by inventory_to_json (or
     written by hand to the same schema).  A value of the wrong JSON type
-    is a ValueError naming it, such as ``devices[0]: expected an object``."""
+    is a ValueError naming it, such as ``devices[0]: expected an object``,
+    and so is a key's genealogy that does not parse
+    (``devices[0].key.genealogy: line 4: ...``)."""
     doc = _load_json(text)
     devices = []
     items = _expect("devices", doc["devices"], list, "a list")
@@ -711,8 +723,8 @@ def inventory_from_json(text: str):
                 bus=Bus(item["bus"]),
                 capacity_kib=_int(where, item, "capacity_kib"),
                 contents=None if key is None else _key_from_json(f"{where}.key", key),
-                is_boot_source=bool(item.get("boot_source", False)),
-                foreign_data=bool(item.get("foreign_data", False)),
+                is_boot_source=_bool(where, item, "boot_source"),
+                foreign_data=_bool(where, item, "foreign_data"),
             )
         )
     return tuple(devices)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import datetime
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from . import genealogy as gen
@@ -27,6 +27,7 @@ from . import replicator as rep
 from .units import KIB, MB, _check_int, _expect, _json_text, _load_json, as_fraction, sig6
 
 __all__ = [
+    "DEFAULT_CAPACITY_KIB",
     "SimConfig",
     "SimResult",
     "rounds_closed_form",
@@ -429,10 +430,14 @@ def _header(name: str, value) -> gen.ProvenanceHeader:
 
 def sim_config_from_json(text: str) -> SimConfig:
     """Build a SimConfig from its JSON document form.  Rates may be given
-    as numbers or strings; strings are parsed exactly."""
+    as numbers or strings; strings are parsed exactly.  A field that is
+    not a SimConfig field is refused, so a misspelling cannot fall back
+    to a default."""
     doc = _load_json(text)
-    if not isinstance(doc, dict):
-        raise ValueError("expected a JSON object")
+    known = {f.name for f in fields(SimConfig)}
+    for name in doc:
+        if name not in known:
+            raise ValueError(f"unknown field {name!r}")
     if "n_participants" not in doc:
         raise ValueError("missing field 'n_participants'")
     kwargs = {}

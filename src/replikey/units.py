@@ -47,13 +47,17 @@ def _expect(name: str, value, kind: type, what: str):
     return value
 
 
-def _load_json(text: str):
-    """``json.loads``, with a document nested too deeply for the decoder
-    reported as a ValueError rather than a RecursionError."""
+def _load_json(text: str) -> dict:
+    """``json.loads`` of a document that must be a JSON object; one nested
+    too deeply for the decoder is a ValueError rather than a
+    RecursionError."""
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except RecursionError:
         raise ValueError("JSON document nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise ValueError("expected a JSON object")
+    return doc
 
 
 def _json_text(doc) -> str:

@@ -204,21 +204,44 @@ def test_entry_is_wired(capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_python_m_replikey_runs_the_cli(capsys):
-    code, expected, _ = run(capsys, "genealogy-stats", SAMPLE)
-    assert code == 0
+def _python_m_replikey(*argv):
+    """Run the CLI in a fresh interpreter, outside pytest's warning capture."""
     package_root = str(Path(replikey.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "replikey", "genealogy-stats", SAMPLE],
+    return subprocess.run(
+        [sys.executable, "-m", "replikey", *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def test_python_m_replikey_runs_the_cli(capsys):
+    code, expected, _ = run(capsys, "genealogy-stats", SAMPLE)
+    assert code == 0
+    done = _python_m_replikey("genealogy-stats", SAMPLE)
     assert done.returncode == 0, done.stderr
     assert done.stdout == expected
+
+
+@pytest.mark.parametrize(
+    "subcommand",
+    [
+        "genealogy-parse",
+        "genealogy-stats",
+        "manifest --inventory",
+        "sim-redeploy --config",
+        "verify --inventory {inventory} --reference",
+    ],
+)
+def test_input_not_utf8_is_one_error_line(capsys, tmp_path, inventory_file, subcommand):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("p D\xe9mo Live 1.0 2013-01-01\n".encode("latin-1"))
+    argv = subcommand.format(inventory=inventory_file).split()
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out, err) == (1, "", f"error: {path}: not valid UTF-8\n")
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +391,8 @@ _GOOD_RELEASES = [{"time_s": 0, "version": _V11}]
             {"n_participants": 4, "track_genealogies": "no"},
             "track_genealogies: expected true or false, got 'no'",
         ),
+        ({"n_participants": 4, "port_per_host": 3}, "unknown field 'port_per_host'"),
+        ({"n_participants": 4, "rng_seed": 7}, "unknown field 'rng_seed'"),
     ],
 )
 def test_sim_redeploy_hostile_field_names_it(capsys, tmp_path, doc, problem):
@@ -560,9 +585,14 @@ def _master_doc():
     return json.loads(rep.inventory_to_json(two_key_inventory()))
 
 
-def _with_files(files):
+def _with(value, *path):
+    """The two-key inventory document with the field at ``path`` under
+    its first device (the boot source) set to ``value``."""
     doc = _master_doc()
-    doc["devices"][0]["key"]["files"] = files
+    item = doc["devices"][0]
+    for name in path[:-1]:
+        item = item[name]
+    item[path[-1]] = value
     return doc
 
 
@@ -571,9 +601,9 @@ def _with_files(files):
     [
         ({"devices": [["x"]]}, "devices[0]: expected an object"),
         ({"devices": {"sdb": {}}}, "devices: expected a list"),
-        (_with_files([1]), "devices[0].key.files: expected an object"),
+        (_with([1], "key", "files"), "devices[0].key.files: expected an object"),
         (
-            _with_files({"/live/filesystem.squashfs": [1]}),
+            _with({"/live/filesystem.squashfs": [1]}, "key", "files"),
             "devices[0].key.files['/live/filesystem.squashfs']: expected an object",
         ),
         (
@@ -584,6 +614,18 @@ def _with_files(files):
             {"devices": [{"id": "sdb", "bus": "usb", "capacity_kib": float("inf")}]},
             "devices[0].capacity_kib: expected an integer, got inf",
         ),
+        (_with("true", "boot_source"), "devices[0].boot_source: expected true or false"),
+        (_with("false", "foreign_data"), "devices[0].foreign_data: expected true or false"),
+        (
+            _with("false", "key", "compromised"),
+            "devices[0].key.compromised: expected true or false",
+        ),
+        (
+            _with("x what\n", "key", "genealogy"),
+            "devices[0].key.genealogy: line 1: unknown line tag 'x'",
+        ),
+        ({"devices": [{"id": "sdb", "capacity_kib": 1}]}, "missing field 'bus'"),
+        ([{"devices": []}], "expected a JSON object"),
     ],
 )
 def test_wrongly_typed_inventory_names_item(capsys, tmp_path, doc, problem):
@@ -592,6 +634,19 @@ def test_wrongly_typed_inventory_names_item(capsys, tmp_path, doc, problem):
     code, out, err = run(capsys, "manifest", "--inventory", str(path))
     assert (code, out) == (1, "")
     assert err == f"error: {path}: {problem}\n"
+
+
+def test_inventory_lint_finding_is_one_warning_line(tmp_path):
+    genealogy = _master_doc()["devices"][0]["key"]["genealogy"]
+    late_spawn = "s 2013-02-17 12:00:00+00:00 - en_US.UTF-8 - 7812500 -          1\n"
+    path = tmp_path / "inventory.json"
+    path.write_text(json.dumps(_with(genealogy + late_spawn, "key", "genealogy")))
+    done = _python_m_replikey("manifest", "--inventory", str(path))
+    assert done.returncode == 0
+    assert done.stderr == (
+        f"warning: {path}: record: event 1 timestamp 2013-02-17 12:00:00+00:00"
+        " precedes 2013-02-17 13:01:00+00:00\n"
+    )
 
 
 @pytest.mark.parametrize("subcommand", ["manifest --inventory", "sim-redeploy --config"])
@@ -696,3 +751,60 @@ def test_fuzzed_sim_config_exits_cleanly(tmp_path_factory, text):
     code, err = _dispatch_quietly(["sim-redeploy", "--config", str(config)])
     assert code in (0, 1, 2)
     assert err.count("\n") <= 1
+
+
+@st.composite
+def _mutated_lines(draw, valid: bytes):
+    """``valid`` with a few lines dropped, repeated, swapped, indented,
+    edited or replaced by arbitrary bytes (so not always UTF-8), or
+    arbitrary bytes outright."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=40))
+    lines = valid.splitlines(keepends=True)
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(("drop", "repeat", "swap", "indent", "edit", "replace")))
+        if op == "drop":
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "indent":
+            lines[i] = b"  " + lines[i]
+        elif op == "edit":
+            at = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:at] + draw(st.binary(min_size=1, max_size=3)) + lines[i][at + 1 :]
+        else:
+            lines[i] = draw(st.binary(max_size=20)) + b"\n"
+    return b"".join(lines)
+
+
+def _assert_one_diagnostic(code, err):
+    lines = err.splitlines()
+    assert code in (0, 1, 2)
+    assert sum(line.startswith("error: ") for line in lines) <= 1
+    assert all(line.startswith(("error: ", "warning: ")) for line in lines), err
+
+
+@_FUZZ
+@given(_mutated_lines(Path(SAMPLE).read_bytes()))
+def test_fuzzed_genealogy_exits_cleanly(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "genealogy.txt"
+    path.write_bytes(data)
+    for subcommand in ("genealogy-parse", "genealogy-stats"):
+        _assert_one_diagnostic(*_dispatch_quietly([subcommand, str(path)]))
+
+
+@_FUZZ
+@given(_mutated_lines(integ.manifest_to_text(integ.build_manifest(master_key())).encode()))
+def test_fuzzed_manifest_exits_cleanly(tmp_path_factory, data):
+    base = tmp_path_factory.mktemp("fuzz")
+    inventory, reference = base / "inventory.json", base / "ref.txt"
+    inventory.write_text(rep.inventory_to_json(two_key_inventory()))
+    reference.write_bytes(data)
+    argv = ["verify", "--inventory", str(inventory), "--reference", str(reference)]
+    _assert_one_diagnostic(*_dispatch_quietly(argv))

@@ -403,7 +403,6 @@ def test_config_from_json_full():
       "bandwidth_mb_s": "4.5",
       "setup_delay_s": 120,
       "upgrade_ratio": 0.5,
-      "rng_seed": 7,
       "track_genealogies": false,
       "releases": [{"time_s": 60, "version": "Demo Live 1.1 2013-06-01 en_US.UTF-8 - stable - amd64"}]
     }
