@@ -201,7 +201,12 @@ def _manifest(version: gen.ProvenanceHeader, image_bytes: int) -> rep.ImageManif
 
 
 def _floor_time(config: SimConfig, elapsed: Fraction) -> datetime.datetime:
-    return config.start_time + datetime.timedelta(seconds=int(elapsed))
+    try:
+        return config.start_time + datetime.timedelta(seconds=int(elapsed))
+    except OverflowError:
+        raise ValueError(
+            f"simulated time {int(elapsed)} s after start_time is past year 9999"
+        ) from None
 
 
 def _seed_keys(config: SimConfig, count: int) -> list:

@@ -406,6 +406,19 @@ def test_sim_redeploy_hostile_field_names_it(capsys, tmp_path, doc, problem):
     assert err == f"error: {config}: {problem}\n"
 
 
+def test_clock_past_year_9999_is_one_error_line(capsys, tmp_path):
+    code, out, err = run(capsys, "sim-room", "--n", "4", "--setup-s", "1e15")
+    assert (code, out) == (1, "")
+    assert err == "error: simulated time 1000000000000600 s after start_time is past year 9999\n"
+    late = {"time_s": 300_000_000_000, "version": _V11}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"n_participants": 4, "releases": [*_GOOD_RELEASES, late]}))
+    code, out, err = run(capsys, "sim-redeploy", "--config", str(config))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {config}: simulated time ")
+    assert err.endswith(" s after start_time is past year 9999\n")
+
+
 def test_sim_redeploy_bad_json_names_line(capsys, tmp_path):
     config = tmp_path / "broken.json"
     config.write_text('{"n_participants": 8,\n  oops\n}')
