@@ -67,7 +67,7 @@ def _load(path: str, read):
             raise CliError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
         except KeyError as exc:
             raise CliError(f"{path}: missing field {exc.args[0]!r}") from exc
-        except (TypeError, ValueError, integ.IntegrityError) as exc:
+        except (TypeError, ValueError, integ.IntegrityError, rep.ReplicationError) as exc:
             raise CliError(f"{path}: {exc}") from exc
     for w in caught:
         print(f"warning: {path}: {w.message}", file=sys.stderr)

@@ -29,8 +29,7 @@ import datetime
 import enum
 import re
 import warnings
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, replace
 
 __all__ = [
     "EventKind",
@@ -295,18 +294,27 @@ def _parse_provenance(text: str, lineno: int) -> ProvenanceHeader:
         raise GenealogyParseError(lineno, f"malformed provenance descriptor: {exc}") from None
 
 
-def _close_donor(stack: list) -> None:
-    """Pop the innermost open donor block into an upgrade of its host."""
+def _close_donor(stack: list, donors: dict) -> None:
+    """Pop the innermost open donor block into an upgrade of its host.
+
+    ``donors`` maps a block's header, flag and event ids to the upgrade
+    built for it, so a block equal to one closed before reuses that
+    object without building or checking it again.
+    """
     _, provenance, events, lineno, has_p = stack.pop()
-    if provenance is None and not events:
-        raise GenealogyParseError(
-            lineno, "upgrade with no donor events and no descriptor"
-        )
-    donor = Genealogy(provenance=provenance, events=tuple(events))
-    try:
-        stack[-1][2].append(UpgradeEvent(donor=donor, donor_has_provenance=has_p))
-    except ValueError as exc:
-        raise GenealogyParseError(lineno, str(exc)) from None
+    key = (id(provenance), has_p, *map(id, events))
+    upgrade = donors.get(key)
+    if upgrade is None:
+        if provenance is None and not events:
+            raise GenealogyParseError(
+                lineno, "upgrade with no donor events and no descriptor"
+            )
+        donor = Genealogy(provenance=provenance, events=tuple(events))
+        try:
+            upgrade = donors[key] = UpgradeEvent(donor=donor, donor_has_provenance=has_p)
+        except ValueError as exc:
+            raise GenealogyParseError(lineno, str(exc)) from None
+    stack[-1][2].append(upgrade)
 
 
 def parse(text: bytes | str) -> Genealogy:
@@ -316,7 +324,10 @@ def parse(text: bytes | str) -> Genealogy:
     GenealogyParseError (naming the line) for malformed input; emits
     GenealogyWarning for lint-level issues such as out-of-order
     timestamps.  Open records are kept on an explicit stack, so nesting
-    depth is bounded only by memory.
+    depth is bounded only by memory.  Equal events and equal donor
+    blocks parse to one shared object each: an event is built once per
+    distinct spelling of its line, a donor record once per distinct
+    block, not once per copy.
     """
     if isinstance(text, bytes):
         try:
@@ -324,21 +335,43 @@ def parse(text: bytes | str) -> Genealogy:
         except UnicodeDecodeError as exc:
             raise GenealogyParseError(0, f"input is not valid UTF-8: {exc}") from None
     toks = _tokenize(text)
+    # intern tables for this call: equal events, headers and donor records
+    # become one object each.  An event or header is filed under each
+    # spelling read and under its canonical text, whose first object every
+    # later spelling gets; never under ==, which equates one instant
+    # written at two UTC offsets
+    event_table: dict = {}
+    header_table: dict = {}
+    donor_table: dict = {}
+
+    def header(text: str, lineno: int) -> ProvenanceHeader:
+        found = header_table.get(text)
+        if found is None:
+            found = _parse_provenance(text, lineno)
+            found = header_table.setdefault(found.descriptor(), found)
+            header_table[text] = found
+        return found
+
     # one frame per open record: [level, provenance, events, "u" lineno, has_p];
     # a record claims every line at least as deep as its level
     stack: list = [[0, None, [], 0, False]]
     for k, (lineno, indent, tag, payload) in enumerate(toks):
         while indent < stack[-1][0]:
-            _close_donor(stack)
+            _close_donor(stack, donor_table)
         frame = stack[-1]
         if tag == "p":
             if frame[1] is not None:
                 raise GenealogyParseError(lineno, "provenance already given")
             if frame[2]:
                 raise GenealogyParseError(lineno, "provenance header must precede events")
-            frame[1] = _parse_provenance(payload, lineno)
+            frame[1] = header(payload, lineno)
         elif tag != "u":
-            frame[2].append(_parse_event(lineno, tag, payload))
+            ev = event_table.get((tag, payload))
+            if ev is None:
+                ev = _parse_event(lineno, tag, payload)
+                ev = event_table.setdefault(_event_line(ev), ev)
+                event_table[tag, payload] = ev
+            frame[2].append(ev)
         else:
             has_p = payload == "p" or payload.startswith("p ")
             desc_text = payload[1:].strip() if has_p else payload
@@ -346,13 +379,13 @@ def parse(text: bytes | str) -> Genealogy:
                 raise GenealogyParseError(
                     lineno, "provenance descriptor expected after 'u p'"
                 )
-            donor_prov = _parse_provenance(desc_text, lineno) if desc_text else None
+            donor_prov = header(desc_text, lineno) if desc_text else None
             # the first following deeper line sets the donor block's level;
             # without one the block is empty and the next line closes it
             after = toks[k + 1][1] if k + 1 < len(toks) else 0
             stack.append([max(after, indent + 1), donor_prov, [], lineno, has_p])
     while len(stack) > 1:
-        _close_donor(stack)
+        _close_donor(stack, donor_table)
     _, provenance, events, _, _ = stack[0]
     record = Genealogy(provenance=provenance, events=tuple(events))
     for message in lint(record):
@@ -371,6 +404,14 @@ def _upgrade_line(ev: UpgradeEvent, indent: str) -> str:
     if ev.donor.provenance is not None:
         line += f" {ev.donor.provenance.descriptor()}"
     return line
+
+
+def _event_line(ev: GenealogyEvent) -> str:
+    """An event's canonical line, without indentation."""
+    return (
+        f"{ev.kind._value_} {ev.timestamp.isoformat(' ')}"
+        f" - {ev.locale} - {ev.capacity} - {ev.batch_count:{_BATCH_SPEC}}"
+    )
 
 
 def _record_lines(g: Genealogy, line_cache: list) -> list[str]:
@@ -403,12 +444,7 @@ def _record_lines(g: Genealogy, line_cache: list) -> list[str]:
                 stack.append(iter(ev.donor.events))
                 break
             if line is None:
-                # inline rather than in a helper: every line of a freshly
-                # parsed log misses the cache and comes through here
-                line = seen[key] = (
-                    f"{indent}{ev.kind._value_} {ev.timestamp.isoformat(' ')}"
-                    f" - {ev.locale} - {ev.capacity} - {ev.batch_count:{_BATCH_SPEC}}"
-                )
+                line = seen[key] = indent + _event_line(ev)
             append(line)
         else:
             stack.pop()
@@ -486,21 +522,23 @@ def child_genealogy(parent: Genealogy, birth: GenealogyEvent) -> Genealogy:
 # analysis
 
 
-def _walk(g: Genealogy):
-    """Every event of ``g``, embedded donors included, in written order:
-    pre-order ``(level, index, event)`` triples from an explicit stack, so
-    nesting depth is bounded only by memory.  ``index`` is the event's
-    position in its own record, ``level`` that record's nesting depth."""
-    stack = [enumerate(g.events)]
+def _bottom_up(g: Genealogy) -> list:
+    """Each distinct record object in ``g`` once, every donor before the
+    records that embed it, so ``g`` comes last.  A donor shared by many
+    upgrades is visited once; the walk keeps an explicit stack, so
+    nesting depth is bounded only by memory."""
+    order: list = []
+    seen = {id(g)}
+    stack = [(g, iter(g.events))]
     while stack:
-        level = len(stack) - 1
-        for index, ev in stack[-1]:
-            yield level, index, ev
-            if isinstance(ev, UpgradeEvent):
-                stack.append(enumerate(ev.donor.events))
+        for ev in stack[-1][1]:
+            if isinstance(ev, UpgradeEvent) and id(ev.donor) not in seen:
+                seen.add(id(ev.donor))
+                stack.append((ev.donor, iter(ev.donor.events)))
                 break
         else:
-            stack.pop()
+            order.append(stack.pop()[0])
+    return order
 
 
 def stats(g: Genealogy) -> LineageStats:
@@ -509,36 +547,43 @@ def stats(g: Genealogy) -> LineageStats:
     Provenance is counted per written "p" tag: the record's own header
     plus every upgrade whose donor descriptor was "p"-tagged on its "u"
     line.  first/last are the extreme timestamps over all events,
-    embedded donors included.
+    embedded donors included; of equal instants, the first written.
+    Each distinct donor record is counted once and its counts reused.
     """
-    births = spawns = upgrades = depth = 0
-    provenances = 0 if g.provenance is None else 1
-    first: datetime.datetime | None = None
-    last: datetime.datetime | None = None
-    for level, _, ev in _walk(g):
-        if isinstance(ev, UpgradeEvent):
-            upgrades += 1
-            if ev.donor_has_provenance:
-                provenances += 1
-            depth = max(depth, level + 1)
-            continue
-        if ev.kind is EventKind.BIRTH:
-            births += 1
-        else:
-            spawns += 1
-        if first is None or ev.timestamp < first:
-            first = ev.timestamp
-        if last is None or ev.timestamp > last:
-            last = ev.timestamp
-    return LineageStats(
-        birth_count=births,
-        spawn_count=spawns,
-        upgrade_count=upgrades,
-        provenance_count=provenances,
-        max_embedding_depth=depth,
-        first_event=first,
-        last_event=last,
-    )
+    # per record: its stats, leaving out the record's own header
+    memo: dict = {}
+    for record in _bottom_up(g):
+        births = spawns = upgrades = provenances = depth = 0
+        first: datetime.datetime | None = None
+        last: datetime.datetime | None = None
+        for ev in record.events:
+            if isinstance(ev, UpgradeEvent):
+                sub = memo[id(ev.donor)]
+                births += sub.birth_count
+                spawns += sub.spawn_count
+                upgrades += sub.upgrade_count + 1
+                provenances += sub.provenance_count + bool(ev.donor_has_provenance)
+                depth = max(depth, sub.max_embedding_depth + 1)
+                low, high = sub.first_event, sub.last_event
+                if low is None:
+                    continue
+            else:
+                if ev.kind is EventKind.BIRTH:
+                    births += 1
+                else:
+                    spawns += 1
+                low = high = ev.timestamp
+            if first is None or low < first:
+                first = low
+            if last is None or high > last:
+                last = high
+        memo[id(record)] = LineageStats(
+            births, spawns, upgrades, provenances, depth, first, last
+        )
+    result = memo[id(g)]
+    if g.provenance is None:
+        return result
+    return replace(result, provenance_count=result.provenance_count + 1)
 
 
 def own_spawn_count(g: Genealogy) -> int:
@@ -562,38 +607,47 @@ def lint(g: Genealogy) -> list[str]:
 
     The birth check only applies to records that contain an upgrade; a
     clone chain without upgrades legitimately accumulates one inherited
-    birth per generation.
+    birth per generation.  Each distinct donor record is checked once;
+    its location ("record/donor[i]/...") is spelled out only in the
+    messages it yields.
     """
+    # per record, in written order: a message relative to the record, or
+    # (index, findings) for an upgrade whose donor has findings
+    memo: dict = {}
+    for record in _bottom_up(g):
+        found: list = []
+        prev = None
+        births = 0
+        upgraded = False
+        for idx, ev in enumerate(record.events):
+            if isinstance(ev, UpgradeEvent):
+                prev = None  # a new contiguous run starts after the upgrade
+                upgraded = True
+                if sub := memo[id(ev.donor)]:
+                    found.append((idx, sub))
+                continue
+            if prev is not None and ev.timestamp < prev:
+                found.append(
+                    f"event {idx} timestamp {ev.timestamp.isoformat(sep=' ')}"
+                    f" precedes {prev.isoformat(sep=' ')}"
+                )
+            prev = ev.timestamp
+            if not upgraded and ev.kind is EventKind.BIRTH:
+                births += 1
+        if upgraded and births > 1:
+            found.append(f"{births} births before the first upgrade")
+        memo[id(record)] = found
     messages: list[str] = []
-    # per open record: [previous timestamp, births before its first upgrade,
-    # upgraded, index of its upgrade in the host record]
-    records: list = [[None, 0, False, None]]
-
-    def where() -> str:  # the innermost open record, named only for a message
-        return "record" + "".join(f"/donor[{r[3]}]" for r in records[1:])
-
-    # the trailing level -1 entry closes every record still open
-    for level, idx, ev in chain(_walk(g), [(-1, 0, None)]):
-        while len(records) > level + 1:
-            _, births, upgraded, _ = records[-1]
-            if upgraded and births > 1:
-                messages.append(f"{where()}: {births} births before the first upgrade")
-            records.pop()
-        if ev is None:
-            break
-        state = records[-1]
-        if isinstance(ev, UpgradeEvent):
-            state[0] = None  # a new contiguous run starts after the upgrade
-            state[2] = True
-            records.append([None, 0, False, idx])
-            continue
-        prev = state[0]
-        if prev is not None and ev.timestamp < prev:
-            messages.append(
-                f"{where()}: event {idx} timestamp {ev.timestamp.isoformat(sep=' ')}"
-                f" precedes {prev.isoformat(sep=' ')}"
-            )
-        state[0] = ev.timestamp
-        if not state[2] and ev.kind is EventKind.BIRTH:
-            state[1] += 1
+    # (donor index, findings) per open record, the top one's index unused
+    stack = [(None, iter(memo[id(g)]))]
+    while stack:
+        for item in stack[-1][1]:
+            if isinstance(item, str):
+                where = "record" + "".join(f"/donor[{i}]" for i, _ in stack[1:])
+                messages.append(f"{where}: {item}")
+            else:
+                stack.append((item[0], iter(item[1])))
+                break
+        else:
+            stack.pop()
     return messages

@@ -650,6 +650,14 @@ def _bool(where: str, doc: dict, name: str) -> bool:
     return _expect(f"{where}.{name}", doc.get(name, False), bool, "true or false")
 
 
+def _read_field(where: str, read, value):
+    """``read(value)``; a ValueError it raises names the field ``where``."""
+    try:
+        return read(value)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 def _key_from_json(where: str, doc) -> KeyState:
     _expect(where, doc, dict, "an object")
     files = {}
@@ -659,15 +667,16 @@ def _key_from_json(where: str, doc) -> KeyState:
         _expect(at, fields, dict, "an object")
         files[path] = FileEntry(
             size_bytes=_int(at, fields, "size"),
-            file_class=FileClass(fields["class"]),
+            file_class=_read_field(f"{at}.class", FileClass, fields["class"]),
             content=_str(at, fields, "content", ""),
         )
-    try:
-        genealogy = gen.parse(_str(where, doc, "genealogy"))
-    except gen.GenealogyParseError as exc:
-        raise ValueError(f"{where}.genealogy: {exc}") from exc
+    genealogy = _read_field(f"{where}.genealogy", gen.parse, _str(where, doc, "genealogy"))
     return KeyState(
-        version=gen.ProvenanceHeader.from_descriptor(_str(where, doc, "version")),
+        version=_read_field(
+            f"{where}.version",
+            gen.ProvenanceHeader.from_descriptor,
+            _str(where, doc, "version"),
+        ),
         files=files,
         image_bytes=_int(where, doc, "image_bytes"),
         genealogy=genealogy,

@@ -130,8 +130,8 @@ class SimConfig:
             raise ValueError("capacity_kib must be positive")
         if self.image_bytes > self.capacity_kib * KIB:
             raise rep.CapacityExceeded(
-                f"files total {self.image_bytes} bytes exceed capacity "
-                f"{self.capacity_kib * KIB} bytes"
+                f"image_bytes: {self.image_bytes} bytes exceed capacity_kib "
+                f"{self.capacity_kib} ({self.capacity_kib * KIB} bytes)"
             )
         for t, header in self.releases:
             if t < 0:

@@ -393,6 +393,10 @@ _GOOD_RELEASES = [{"time_s": 0, "version": _V11}]
         ),
         ({"n_participants": 4, "port_per_host": 3}, "unknown field 'port_per_host'"),
         ({"n_participants": 4, "rng_seed": 7}, "unknown field 'rng_seed'"),
+        (
+            {"n_participants": 4, "image_bytes": 9_000_000_000},
+            "image_bytes: 9000000000 bytes exceed capacity_kib 7812500 (8000000000 bytes)",
+        ),
     ],
 )
 def test_sim_redeploy_hostile_field_names_it(capsys, tmp_path, doc, problem):
@@ -639,6 +643,15 @@ def _with(value, *path):
         ),
         ({"devices": [{"id": "sdb", "capacity_kib": 1}]}, "missing field 'bus'"),
         ([{"devices": []}], "expected a JSON object"),
+        (
+            _with("x", "key", "version"),
+            "devices[0].key.version: expected 3 ' - '-separated fields, got 1",
+        ),
+        (
+            _with("sys", "key", "files", "/live/filesystem.squashfs", "class"),
+            "devices[0].key.files['/live/filesystem.squashfs'].class:"
+            " 'sys' is not a valid FileClass",
+        ),
     ],
 )
 def test_wrongly_typed_inventory_names_item(capsys, tmp_path, doc, problem):

@@ -1,6 +1,7 @@
 """Tests for the genealogy log format: parsing, canonical serialization,
 record operations, and lineage statistics."""
 
+import ast
 import dataclasses
 import datetime
 import tracemalloc
@@ -416,6 +417,46 @@ def test_serialize_preserves_nonzero_utc_offset():
     assert parse(serialize(g)) == g
 
 
+def test_parse_keeps_each_utc_offset_as_written():
+    """One instant at two UTC offsets is two events: equal by ==, which
+    compares instants, but written back each with its own offset, on
+    the top level and in donor blocks alike."""
+    pad = " - C - 4023296 -          1\n"
+    early, late = f"2013-01-01 12:00:00+00:00{pad}", f"2013-01-01 13:00:00+01:00{pad}"
+    text = f"u\n  i {early}u\n  i {late}i {early}s {late}i {late}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", GenealogyWarning)
+        g = parse(text)
+    assert serialize(g) == text
+    assert g.events[2] == g.events[4]
+    # of equal instants, stats reports the first written
+    s = stats(g)
+    assert s.first_event.isoformat(" ") == s.last_event.isoformat(" ") == early[:25]
+
+
+def test_equal_donor_blocks_keep_their_own_p_flag():
+    desc = "Demo Live 1.0 2013-01-01 en_US.UTF-8 - stable - amd64"
+    block = "  i 2013-02-17 13:01:38+00:00 - C - 4023296 -          1\n"
+    text = f"u p {desc}\n{block}u {desc}\n{block}u p {desc}\n{block}"
+    g = parse(text)
+    assert serialize(g) == text
+    assert g.events[0] is g.events[2] and g.events[1] is not g.events[0]
+    assert g.events[0].donor.events[0] is g.events[1].donor.events[0]
+
+
+def test_repeated_event_line_does_not_hide_a_later_error():
+    good = "i 2013-02-17 13:01:38+00:00 - fr_FR.UTF-8 - 4023296 - 1\n"
+    for bad, reason in (
+        ("i 2013-02-17 13:01:38+00:00 - fr_FR.UTF-8 - 0 - 1\n", "capacity must be positive"),
+        ("\t" + good, "tab in indentation"),
+        ("p Sage 5.6 2013-01-25 en_US.UTF-8 - wheezy - 686-pae\n", "provenance header"),
+    ):
+        with pytest.raises(GenealogyParseError) as exc:
+            parse(good + "u\n  " + good + good + bad)
+        assert exc.value.lineno == 5
+        assert exc.value.reason.startswith(reason)
+
+
 # ---------------------------------------------------------------------------
 # record operations
 
@@ -719,10 +760,11 @@ def _reference_text(g: Genealogy) -> str:
 
 
 @st.composite
-def _shared_histories(draw):
+def _shared_histories(draw, twins=False):
     """Records grown from each other by the record operations, drawing on
     a few event objects, so events and whole donors recur across records
-    and at several nesting levels."""
+    and at several nesting levels.  With ``twins``, each event also
+    comes at its own instant written at another UTC offset."""
     births = draw(
         st.lists(_event.map(lambda e: dataclasses.replace(e, kind=EventKind.BIRTH)),
                  min_size=1, max_size=3)
@@ -731,6 +773,14 @@ def _shared_histories(draw):
         st.lists(_event.map(lambda e: dataclasses.replace(e, kind=EventKind.SPAWN)),
                  min_size=1, max_size=3)
     )
+    if twins:
+        births, spawns = (
+            events + [
+                dataclasses.replace(e, timestamp=e.timestamp.astimezone(draw(_offset)))
+                for e in events
+            ]
+            for events in (births, spawns)
+        )
     pool = [Genealogy(provenance=draw(st.none() | _header))]
     for _ in range(draw(st.integers(min_value=1, max_value=12))):
         op = draw(st.sampled_from(("birth", "spawn", "upgrade", "child")))
@@ -904,11 +954,16 @@ def _outcome(parser, text):
 
 
 def _check_against_reference(text):
+    """parse, serialize, stats and lint against the recursive reference
+    copies, which build a fresh object per line.  Text and reprs show a
+    UTC offset that == would overlook."""
     got = _outcome(_parse_quiet, text)
-    assert got == _outcome(_reference_parse, text)
+    want = _outcome(_reference_parse, text)
+    assert got == want
     if isinstance(got, Genealogy):
-        assert stats(got) == _reference_stats(got)
-        assert lint(got) == _reference_lint(got)
+        assert serialize(got) == _reference_text(want)
+        assert repr(stats(got)) == repr(_reference_stats(want))
+        assert lint(got) == _reference_lint(want)
 
 
 @given(_shared_histories())
@@ -933,12 +988,9 @@ _stray_lines = st.one_of(
 )
 
 
-@st.composite
-def _mutated_texts(draw):
-    """Serialized records with lines removed, repeated, swapped,
-    re-indented or inserted: lenient indentation and every parse error."""
-    source = draw(_genealogies | _shared_histories().map(lambda rs: rs[-1]))
-    lines = serialize(source).splitlines()
+def _mutate(draw, lines: list) -> str:
+    """``lines`` with lines removed, repeated, swapped, re-indented or
+    inserted: lenient indentation and every parse error."""
     for _ in range(draw(st.integers(1, 4))):
         op = draw(st.sampled_from(("drop", "repeat", "swap", "indent", "insert")))
         at = draw(st.integers(0, max(len(lines) - 1, 0)))
@@ -957,9 +1009,50 @@ def _mutated_texts(draw):
     return "\n".join(lines) + "\n"
 
 
+@st.composite
+def _mutated_texts(draw):
+    source = draw(_genealogies | _shared_histories().map(lambda rs: rs[-1]))
+    return _mutate(draw, serialize(source).splitlines())
+
+
 @settings(max_examples=300)
 @given(_mutated_texts())
 def test_parse_matches_reference_on_mutated_text(text):
+    _check_against_reference(text)
+
+
+_separators = st.sampled_from((" - ", "  - ", " -   ", "\t-\t", " -\t"))
+
+
+@st.composite
+def _noisy_texts(draw):
+    """Valid text for a shared history, with its donors repeated and
+    equal instants written at different UTC offsets, spelled as a hand
+    would: every nesting level indented by its own 1 to 4 spaces, field
+    separators, the batch column and line ends varied line by line.
+    Half of the texts are then mutated as above, so a refused line may
+    repeat an earlier line's event."""
+    widths = draw(st.lists(st.integers(1, 4), min_size=64, max_size=64))
+    lines = []
+    for line in serialize(draw(_shared_histories(twins=True))[-1]).splitlines():
+        body = line.lstrip(" ")
+        level = (len(line) - len(body)) // 2
+        fields = body.split(" - ")
+        if body[0] in "is":
+            fields[3] = fields[3].strip() if draw(st.booleans()) else fields[3]
+        body = fields[0]
+        for field in fields[1:]:
+            body += draw(_separators) + field
+        end = draw(st.sampled_from(("", " ", "\r")))
+        lines.append(" " * sum(widths[:level]) + body + end)
+    if draw(st.booleans()):
+        return _mutate(draw, lines)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300)
+@given(_noisy_texts())
+def test_parse_matches_reference_on_noisy_text(text):
     _check_against_reference(text)
 
 
@@ -1038,3 +1131,82 @@ def test_lint_5000_levels_builds_locations_only_for_messages():
     ]
     # a location string per level would take about 150 MB
     assert peak < 20 * 2**20
+
+
+def test_no_genealogy_function_calls_itself():
+    """Every walk keeps its own stack, so nesting depth never reaches
+    Python's recursion limit (the 5,000-level tests above)."""
+    tree = ast.parse(Path(gen.__file__).read_text(encoding="utf-8"))
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # f(...), or self.f(...) / cls.f(...); super().f(...) is another f
+            called = {
+                node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call)
+                and (
+                    isinstance(node.func, ast.Name)
+                    or isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                )
+            }
+            assert fn.name not in called, f"{fn.name} calls itself"
+
+
+# ---------------------------------------------------------------------------
+# shared history: cost follows distinct records, not their copies
+
+
+def _distinct_objects(g: Genealogy):
+    """The distinct event and donor record objects in ``g``, by identity."""
+    events, records = {}, {id(g): g}
+    stack = [g]
+    while stack:
+        for ev in stack.pop().events:
+            if isinstance(ev, UpgradeEvent):
+                if id(ev.donor) not in records:
+                    records[id(ev.donor)] = ev.donor
+                    stack.append(ev.donor)
+            else:
+                events[id(ev)] = ev
+    return events, records
+
+
+def test_stats_and_lint_on_2_to_the_24_expanded_events():
+    """25 levels, each embedding the level below twice: 2**24 events
+    written out, 25 distinct records."""
+    g = Genealogy(events=(birth("2013-02-17 13:01:38+00:00"),))
+    for _ in range(24):
+        g = Genealogy(events=(UpgradeEvent(g), UpgradeEvent(g)))
+    assert stats(g) == LineageStats(
+        birth_count=2**24,
+        upgrade_count=2**25 - 2,
+        max_embedding_depth=24,
+        first_event=ts("2013-02-17 13:01:38+00:00"),
+        last_event=ts("2013-02-17 13:01:38+00:00"),
+    )
+    assert lint(g) == []
+
+
+def test_parse_shares_events_and_donors_across_copies():
+    """Fifty copies of one donor block, spelled five ways, parse to one
+    donor record; every event line to one object per canonical line."""
+    head = "p Demo Live 1.0 2013-01-01 en_US.UTF-8 - stable - amd64"
+    donor = (
+        "i 2013-02-17 13:01:38+00:00 - C - 4023296 - 1",
+        "s 2013-02-17 13:11:38+00:00 - C - 4023296 - 2",
+        "s 2013-02-17 14:11:38+01:00 - C - 4023296 - 2",
+    )
+    lines = ["i 2013-02-17 12:00:00+00:00 - C - 4023296 - 1"]
+    for k in range(50):
+        sep = ("  -  ", " - ", "\t-  ", " -\t", "   -   ")[k % 5]
+        pad = " " * (1 + k % 4)
+        lines.append(f"u {head}")
+        lines.extend(pad + line.replace(" - ", sep) for line in donor)
+        lines.append("i 2013-02-17 13:11:38+00:00 - C - 4023296 - 1")
+    g = parse("\n".join(lines))
+    events, records = _distinct_objects(g)
+    canonical = {line.strip() for line in serialize(g).splitlines() if line.strip()[0] in "is"}
+    assert len(events) == len(canonical) == 5
+    assert len(records) == 2  # the top record and one shared donor
+    assert len({id(ev) for ev in g.events}) == 3
