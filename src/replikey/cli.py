@@ -230,7 +230,7 @@ def _cmd_sim_redeploy(args) -> str:
     config = _load(args.config, sim.sim_config_from_json)
     try:
         result = sim.run_redeployment(config)
-    except ValueError as exc:
+    except (ValueError, rep.ReplicationError) as exc:
         raise CliError(f"{args.config}: {exc}") from exc
     return _sim_output(result, args.format)
 

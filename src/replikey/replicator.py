@@ -17,7 +17,6 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping
 
 from . import genealogy as gen
 from .units import KIB, MB, _check_int, _expect, _json_text, _load_json, as_fraction
@@ -40,11 +39,9 @@ __all__ = [
     "DEFAULT_UPGRADE_RATIO",
     "apply_transfer",
     "select_target",
-    "classify_paths",
     "plan_clone",
     "plan_upgrade",
     "execute_plan",
-    "share_merge",
     "inventory_to_json",
     "inventory_from_json",
 ]
@@ -360,20 +357,6 @@ def select_target(inventory) -> str:
     return target.id
 
 
-def classify_paths(files: Mapping[str, int], manifest: ImageManifest) -> dict:
-    """Classify bare paths against a manifest: whitelisted → System,
-    under the share prefix → Share, everything else → Personal."""
-    out = {}
-    for path in files:
-        if path in manifest.whitelist:
-            out[path] = FileClass.SYSTEM
-        elif path.startswith(manifest.share_prefix):
-            out[path] = FileClass.SHARE
-        else:
-            out[path] = FileClass.PERSONAL
-    return out
-
-
 def _copy_entries(source: KeyState) -> dict:
     return {
         path: entry
@@ -505,14 +488,6 @@ def plan_upgrade(
     )
 
 
-def share_merge(source_share: Mapping, target_share: Mapping) -> dict:
-    """Union of two share directories; on a path collision the source
-    (booted) key's copy wins."""
-    merged = dict(target_share)
-    merged.update(source_share)
-    return merged
-
-
 def _upgraded_files(src_key: KeyState, tgt_files: tuple) -> dict:
     """File set of the target after the source writes itself onto it:
     source system, merged share, target personal.  ``tgt_files`` is the
@@ -522,13 +497,10 @@ def _upgraded_files(src_key: KeyState, tgt_files: tuple) -> dict:
         for path, entry in src_key.files
         if entry.file_class is FileClass.SYSTEM
     }
-    src_share = {
-        p: e for p, e in src_key.files if e.file_class is FileClass.SHARE
-    }
-    tgt_share = {
-        p: e for p, e in tgt_files if e.file_class is FileClass.SHARE
-    }
-    out.update(share_merge(src_share, tgt_share))
+    share = {p: e for p, e in tgt_files if e.file_class is FileClass.SHARE}
+    # on a path collision the source's share copy wins
+    share.update((p, e) for p, e in src_key.files if e.file_class is FileClass.SHARE)
+    out.update(share)
     for path, entry in tgt_files:
         if entry.file_class is FileClass.PERSONAL:
             out[path] = entry

@@ -1,13 +1,13 @@
 """Discrete-round simulation of key deployments.
 
-Two scenarios are modeled.  A room deployment starts from a handful of
-seeded keys and clones onto blank keys in synchronous rounds: every
-seeded key writes up to ``ports_per_host`` blanks per round, every new
-key seeds the next round, so coverage grows by a factor of
-(1 + ports) per round and full deployment takes a logarithmic number of
-rounds.  A redeployment pushes released image versions through an
-already-seeded population using the upgrade path instead of fresh
-clones.
+Two scenarios are modeled, both by one round loop.  A room deployment
+starts from a handful of seeded keys and clones onto blank keys in
+synchronous rounds: every seeded key writes up to ``ports_per_host``
+blanks per round, every new key seeds the next round, so coverage grows
+by a factor of (1 + ports) per round and full deployment takes a
+logarithmic number of rounds.  A redeployment pushes released image
+versions through an already-seeded population using the upgrade path
+instead of fresh clones.
 
 Rounds are synchronous: all transfers in a round start and end
 together, and one round lasts the boot-and-play setup delay plus the
@@ -68,12 +68,15 @@ def _exact(name: str, value) -> Fraction:
 class SimConfig:
     """Parameters of one deployment scenario.
 
-    ``releases`` drives redeployment runs: each entry is (time_s,
-    version header) and lands on the designated master key when the
-    simulation clock reaches it.  ``track_genealogies`` turns off
-    per-key genealogy bookkeeping for large parameter sweeps where only
-    the round arithmetic matters: both simulators then skip building
-    keys and logs, and every other field of the result is identical.
+    ``releases`` and ``horizon_s`` drive redeployment runs only;
+    ``run_room`` reads neither.  Each release is (time_s, version
+    header) and lands on the designated master key when the simulation
+    clock reaches it, unless that is past the horizon.
+    ``track_genealogies`` turns off per-key genealogy bookkeeping for
+    large parameter sweeps where only the round arithmetic matters: both
+    simulators then build no keys, logs or per-key lists, a run costs
+    O(rounds + releases), and every other field of the result is
+    identical.
 
     An image larger than the key is refused here (CapacityExceeded):
     every simulated key has the same files, so one check covers every
@@ -217,19 +220,103 @@ def _seed_keys(config: SimConfig, count: int) -> list:
     ]
 
 
-def _transfer_round(keys: list, sources, targets, config: SimConfig, now) -> None:
-    """One synchronous round: ``targets[j]`` is written by
-    ``sources[j // ports]``, a fresh clone onto blank media (None) or an
-    upgrade of the key it holds.  ``keys`` is updated in place."""
-    for j, target in enumerate(targets):
-        source = sources[j // config.ports_per_host]
-        keys[source], keys[target] = rep.apply_transfer(
-            keys[source], keys[target], config.capacity_kib, now
-        )
-
-
 def _genealogies(keys: list) -> dict:
     return {key_id: key.genealogy for key_id, key in zip(_key_ids(len(keys)), keys)}
+
+
+def _land(
+    config: SimConfig, master: rep.KeyState, header: gen.ProvenanceHeader, now
+) -> rep.KeyState:
+    """The maintainer rewrites ``master`` with release ``header``: a
+    rebuilt key whose log records an upgrade from a donor that is only
+    the release's provenance.  This is no ``apply_transfer``, which would
+    log a birth and a spawn of the maintainer's key in the donor."""
+    donor = gen.Genealogy(provenance=header)
+    rebirth = gen.GenealogyEvent(gen.EventKind.BIRTH, now, master.locale, master.capacity_kib, 1)
+    rebuilt = rep.KeyState.from_manifest(
+        _manifest(header, config.image_bytes), master.capacity_kib, now, locale=master.locale
+    )
+    return replace(rebuilt, genealogy=gen.record_upgrade(master.genealogy, donor, rebirth))
+
+
+def _round_loop(
+    config: SimConfig,
+    keys: list,
+    held: int,
+    write_bytes: int,
+    releases: tuple = (),
+    horizon: Fraction | None = None,
+    refusal: Exception | None = None,
+) -> tuple:
+    """The synchronous round loop of both simulators (the telephone
+    broadcast model): each round, every key holding the newest landed
+    version writes ``write_bytes`` onto each of up to ``ports_per_host``
+    others.
+
+    Those keys are always a prefix 0..c-1 of the keys, ``held`` of them
+    at the start, and a round writes keys c..c+new-1: key j by key
+    (j - c) // ports.  Each of ``releases`` lands on key 0 once the clock
+    reaches its time, restarting the prefix at one key.  Nothing lands,
+    and no round ends, past ``horizon``; ``refusal``, if given, is raised
+    in place of the first round.  With genealogies tracked ``keys`` is
+    updated in place; otherwise the loop costs O(rounds + releases).
+
+    Returns (makespan from the first landing, per-round count of keys
+    holding a landed version, or the newest one if none landed,
+    per-round bytes, version coverage)."""
+    n, ports = config.n_participants, config.ports_per_host
+    round_len = config.setup_delay_s + Fraction(write_bytes) / (config.bandwidth_mb_s * MB)
+    track = config.track_genealogies
+    reach = [held]  # per version held, oldest first: the prefix it reached
+    start = elapsed = Fraction(0)
+    covered = 0
+    per_round_seeded = []
+    per_round_bytes = []
+    while True:
+        landed = len(reach) - 1
+        due = None  # the next release's time, unless it is past the horizon
+        if landed < len(releases) and (horizon is None or releases[landed][0] <= horizon):
+            due = releases[landed][0]
+        if due is not None and due <= elapsed:
+            if track:
+                keys[0] = _land(config, keys[0], releases[landed][1], _floor_time(config, elapsed))
+            if not landed:
+                start = elapsed
+            reach.append(1)
+            continue
+        c = reach[-1]
+        if c < n:
+            if horizon is not None and elapsed + round_len > horizon:
+                break
+            if refusal is not None:
+                raise refusal
+            new = min(n - c, c * ports)
+            elapsed += round_len
+            if track:
+                now = _floor_time(config, elapsed)
+                for j in range(c, c + new):
+                    src = (j - c) // ports
+                    keys[src], keys[j] = rep.apply_transfer(
+                        keys[src], keys[j], config.capacity_kib, now
+                    )
+            reach[-1] = c + new
+            covered = max(covered, c + new)
+            per_round_seeded.append(covered)
+            per_round_bytes.append(new * write_bytes)
+        elif due is not None:
+            elapsed = due
+        else:
+            break
+
+    headers = [config.base_version] + [header for _, header in releases[: len(reach) - 1]]
+    coverage = {}
+    newer = 0  # keys holding a version newer than the one at hand
+    for header, count in reversed(list(zip(headers, reach))):
+        if count > newer:
+            desc = header.descriptor()
+            coverage[desc] = coverage.get(desc, 0) + count - newer
+            newer = count
+    return elapsed - start, tuple(per_round_seeded), tuple(per_round_bytes), coverage
 
 
 def run_room(config: SimConfig) -> SimResult:
@@ -237,44 +324,26 @@ def run_room(config: SimConfig) -> SimResult:
     participants holding blank media, synchronous clone rounds until
     everyone has a key.  Participants 0..covered-1 hold keys, and each
     round they clone onto the next blanks in order."""
-    n, seeds, ports = config.n_participants, config.seeds, config.ports_per_host
-    clone_s = Fraction(config.image_bytes) / (config.bandwidth_mb_s * MB)
-    round_len = config.setup_delay_s + clone_s
-    track = config.track_genealogies
-    keys = _seed_keys(config, seeds) + [None] * (n - seeds) if track else []
-
-    elapsed = Fraction(0)
-    rounds = 0
-    covered = seeds
-    per_round_seeded = []
-    per_round_bytes = []
-    while covered < n:
-        new = min(n - covered, covered * ports)
-        elapsed += round_len
-        rounds += 1
-        if track:
-            now = _floor_time(config, elapsed)
-            _transfer_round(keys, range(covered), range(covered, covered + new), config, now)
-        covered += new
-        per_round_seeded.append(covered)
-        per_round_bytes.append(new * config.image_bytes)
-
+    n, seeds = config.n_participants, config.seeds
+    keys = _seed_keys(config, seeds) + [None] * (n - seeds) if config.track_genealogies else []
+    makespan, seeded, per_round_bytes, coverage = _round_loop(
+        config, keys, seeds, config.image_bytes
+    )
     bytes_delivered = (n - seeds) * config.image_bytes
-    makespan = elapsed
     amortized = (
         Fraction(bytes_delivered) / (makespan * MB) if makespan > 0 else Fraction(0)
     )
     return SimResult(
         n_participants=n,
-        ports=ports,
-        rounds=rounds,
+        ports=config.ports_per_host,
+        rounds=len(seeded),
         makespan_s=makespan,
         bytes_delivered=bytes_delivered,
         amortized_mb_s=amortized,
-        per_round_seeded=tuple(per_round_seeded),
-        per_round_bytes=tuple(per_round_bytes),
+        per_round_seeded=seeded,
+        per_round_bytes=per_round_bytes,
         genealogies=_genealogies(keys),
-        version_coverage={config.base_version.descriptor(): n},
+        version_coverage=coverage,
     )
 
 
@@ -288,100 +357,29 @@ def run_redeployment(config: SimConfig) -> SimResult:
     if not config.releases:
         raise ValueError("redeployment needs at least one release")
     n = config.n_participants
-    ports = config.ports_per_host
     per_upgrade_bytes = math.ceil(config.upgrade_ratio * config.image_bytes)
-    round_len = config.setup_delay_s + Fraction(per_upgrade_bytes) / (
-        config.bandwidth_mb_s * MB
-    )
     # every key holds just its image, so one staging figure fits all
     staging_peak = config.image_bytes + per_upgrade_bytes
-    capacity = config.capacity_kib * KIB
-    track = config.track_genealogies
-
-    keys = _seed_keys(config, n) if track else []
-    headers = [config.base_version] + [header for _, header in config.releases]
-    level = [0] * n  # per key: index into headers of the version it holds
-
-    elapsed = Fraction(0)
-    rounds = 0
-    per_round_seeded = []
-    per_round_bytes = []
-    applied = 0
-    first_applied_at = None
-
-    def within_horizon(t: Fraction) -> bool:
-        return config.horizon_s is None or t <= config.horizon_s
-
-    while True:
-        # land any release that is due (and reachable at all)
-        while applied < len(config.releases) and (
-            config.releases[applied][0] <= elapsed
-            and within_horizon(config.releases[applied][0])
-        ):
-            release_time, header = config.releases[applied]
-            applied += 1
-            level[0] = applied
-            if track:
-                now = _floor_time(config, max(release_time, elapsed))
-                master = keys[0]
-                donor = gen.Genealogy(provenance=header)
-                rebirth = gen.GenealogyEvent(
-                    gen.EventKind.BIRTH, now, master.locale, master.capacity_kib, 1
-                )
-                rebuilt = rep.KeyState.from_manifest(
-                    _manifest(header, config.image_bytes),
-                    master.capacity_kib,
-                    now,
-                    locale=master.locale,
-                )
-                keys[0] = replace(
-                    rebuilt,
-                    genealogy=gen.record_upgrade(master.genealogy, donor, rebirth),
-                )
-            if first_applied_at is None:
-                first_applied_at = elapsed
-
-        stale = [i for i in range(n) if level[i] < applied]
-        if stale:
-            if not within_horizon(elapsed + round_len):
-                break
-            if staging_peak > capacity:
-                raise rep.CapacityExceeded(
-                    f"upgrade staging needs {staging_peak} bytes on a {capacity}-byte key"
-                )
-            sources = [i for i in range(n) if level[i] == applied]
-            targets = stale[: len(sources) * ports]
-            elapsed += round_len
-            rounds += 1
-            if track:
-                now = _floor_time(config, elapsed)
-                _transfer_round(keys, sources, targets, config, now)
-            for target in targets:
-                level[target] = applied
-            per_round_seeded.append(sum(1 for lv in level if lv > 0))
-            per_round_bytes.append(len(targets) * per_upgrade_bytes)
-        elif applied < len(config.releases):
-            next_time = config.releases[applied][0]
-            if not within_horizon(next_time):
-                break
-            elapsed = max(elapsed, next_time)
-        else:
-            break
-
-    makespan = elapsed - first_applied_at if first_applied_at is not None else Fraction(0)
-    coverage = {}
-    for lv in level:
-        desc = headers[lv].descriptor()
-        coverage[desc] = coverage.get(desc, 0) + 1
+    refusal = None
+    if staging_peak > config.capacity_kib * KIB:
+        refusal = rep.CapacityExceeded(
+            f"image_bytes: {config.image_bytes} bytes plus upgrade_ratio "
+            f"{config.upgrade_ratio} of them to stage an upgrade ({staging_peak} bytes) "
+            f"exceed capacity_kib {config.capacity_kib} ({config.capacity_kib * KIB} bytes)"
+        )
+    keys = _seed_keys(config, n) if config.track_genealogies else []
+    makespan, seeded, per_round_bytes, coverage = _round_loop(
+        config, keys, n, per_upgrade_bytes, config.releases, config.horizon_s, refusal
+    )
     return SimResult(
         n_participants=n,
-        ports=ports,
-        rounds=rounds,
+        ports=config.ports_per_host,
+        rounds=len(seeded),
         makespan_s=makespan,
         bytes_delivered=0,
         amortized_mb_s=Fraction(0),
-        per_round_seeded=tuple(per_round_seeded),
-        per_round_bytes=tuple(per_round_bytes),
+        per_round_seeded=seeded,
+        per_round_bytes=per_round_bytes,
         genealogies=_genealogies(keys),
         version_coverage=coverage,
         upgrade_bytes=sum(per_round_bytes),

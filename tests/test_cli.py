@@ -17,6 +17,7 @@ import replikey
 from replikey import genealogy as gen
 from replikey import integrity as integ
 from replikey import replicator as rep
+from replikey import spreadsim as sim
 from replikey.cli import dispatch, entry
 
 DATA = Path(__file__).parent / "data"
@@ -397,6 +398,11 @@ _GOOD_RELEASES = [{"time_s": 0, "version": _V11}]
             {"n_participants": 4, "image_bytes": 9_000_000_000},
             "image_bytes: 9000000000 bytes exceed capacity_kib 7812500 (8000000000 bytes)",
         ),
+        (
+            {"n_participants": 4, "image_bytes": 7_000_000_000},
+            "image_bytes: 7000000000 bytes plus upgrade_ratio 4/5 of them to stage an "
+            "upgrade (12600000000 bytes) exceed capacity_kib 7812500 (8000000000 bytes)",
+        ),
     ],
 )
 def test_sim_redeploy_hostile_field_names_it(capsys, tmp_path, doc, problem):
@@ -408,6 +414,48 @@ def test_sim_redeploy_hostile_field_names_it(capsys, tmp_path, doc, problem):
     assert code == 1
     assert out == ""
     assert err == f"error: {config}: {problem}\n"
+
+
+def test_sim_redeploy_staging_refusal_waits_for_a_round(capsys, tmp_path):
+    """The staging refusal waits for a round, so a horizon that ends
+    before the first one leaves the run valid."""
+    config = tmp_path / "cfg.json"
+    config.write_text(
+        json.dumps(
+            {
+                "n_participants": 4,
+                "image_bytes": 7_000_000_000,
+                "releases": _GOOD_RELEASES,
+                "horizon_s": 100,
+            }
+        )
+    )
+    code, out, err = run(capsys, "sim-redeploy", "--config", str(config))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["rounds"] == 0
+
+
+def test_sim_redeploy_count_only_needs_no_list_per_key(capsys, tmp_path):
+    n = 10**12
+    for ports in (1, 3):
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "n_participants": n,
+                    "ports_per_host": ports,
+                    "track_genealogies": False,
+                    "releases": _GOOD_RELEASES,
+                }
+            )
+        )
+        code, out, err = run(capsys, "sim-redeploy", "--config", str(config))
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["version_coverage"] == {_V11: n}
+        assert doc["rounds"] == sim.rounds_closed_form(n, 1, ports)
+        assert doc["per_round_seeded"][-1] == n
+        assert doc["genealogies"] == {}
 
 
 def test_clock_past_year_9999_is_one_error_line(capsys, tmp_path):

@@ -24,14 +24,12 @@ from replikey.replicator import (
     ReplicationError,
     TargetNotBlank,
     VirtualDevice,
-    classify_paths,
     execute_plan,
     inventory_from_json,
     inventory_to_json,
     plan_clone,
     plan_upgrade,
     select_target,
-    share_merge,
 )
 
 GB = 10**9
@@ -138,23 +136,7 @@ def test_select_empty_inventory():
 
 
 # ---------------------------------------------------------------------------
-# classification
-
-
-def test_classify_whitelisted_is_system():
-    m = manifest()
-    out = classify_paths({"/live/filesystem.squashfs": 1}, m)
-    assert out["/live/filesystem.squashfs"] is FileClass.SYSTEM
-
-
-def test_classify_share_prefix():
-    out = classify_paths({"/share/lecture-notes.pdf": 1}, manifest())
-    assert out["/share/lecture-notes.pdf"] is FileClass.SHARE
-
-
-def test_classify_everything_else_personal():
-    out = classify_paths({"/home/user/worksheet.sws": 1}, manifest())
-    assert out["/home/user/worksheet.sws"] is FileClass.PERSONAL
+# manifests
 
 
 def test_manifest_rejects_share_inside_whitelist():
@@ -438,19 +420,6 @@ def test_execute_upgrade_replaces_system_set():
     out = execute_plan(plan_upgrade(inv[0], inv[1], 4.5), inv, T0)
     upgraded = next(d for d in out if d.id == "key1").contents
     assert upgraded.paths_of(FileClass.SYSTEM) == other_manifest.whitelist
-
-
-def test_share_merge_rules():
-    a4 = FileEntry(4, FileClass.SHARE, "src")
-    b9 = FileEntry(9, FileClass.SHARE, "tgt")
-    c1 = FileEntry(1, FileClass.SHARE, "only")
-    assert share_merge({"/share/a": a4}, {"/share/c": c1}) == {
-        "/share/a": a4,
-        "/share/c": c1,
-    }
-    merged = share_merge({"/share/a": a4}, {"/share/a": b9})
-    assert merged["/share/a"] is a4
-    assert share_merge({}, {"/share/c": c1}) == {"/share/c": c1}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the room-deployment and redeployment simulators."""
 
 import datetime
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from replikey import genealogy as gen
 from replikey import replicator as rep
+from replikey import spreadsim as sim
 from replikey.spreadsim import (
     SimConfig,
     SimResult,
@@ -20,6 +22,7 @@ from replikey.spreadsim import (
     summarize,
     time_series_rows,
 )
+from replikey.units import KIB, MB
 
 GB = 10**9
 UTC = datetime.timezone.utc
@@ -351,6 +354,199 @@ def test_redeploy_deterministic():
     assert sim_result_to_json(run_redeployment(cfg)) == sim_result_to_json(
         run_redeployment(cfg)
     )
+
+
+# ---------------------------------------------------------------------------
+# reference model: one list entry per key, as the simulators were first
+# written, against the shared round loop's prefix counts
+
+
+def _reference_transfer_round(keys, sources, targets, config, now):
+    for j, target in enumerate(targets):
+        source = sources[j // config.ports_per_host]
+        keys[source], keys[target] = rep.apply_transfer(
+            keys[source], keys[target], config.capacity_kib, now
+        )
+
+
+def _reference_room(config):
+    n, seeds, ports = config.n_participants, config.seeds, config.ports_per_host
+    clone_s = Fraction(config.image_bytes) / (config.bandwidth_mb_s * MB)
+    round_len = config.setup_delay_s + clone_s
+    track = config.track_genealogies
+    keys = sim._seed_keys(config, seeds) + [None] * (n - seeds) if track else []
+    elapsed = Fraction(0)
+    rounds = 0
+    covered = seeds
+    per_round_seeded = []
+    per_round_bytes = []
+    while covered < n:
+        new = min(n - covered, covered * ports)
+        elapsed += round_len
+        rounds += 1
+        if track:
+            now = sim._floor_time(config, elapsed)
+            _reference_transfer_round(
+                keys, range(covered), range(covered, covered + new), config, now
+            )
+        covered += new
+        per_round_seeded.append(covered)
+        per_round_bytes.append(new * config.image_bytes)
+    bytes_delivered = (n - seeds) * config.image_bytes
+    amortized = Fraction(bytes_delivered) / (elapsed * MB) if elapsed > 0 else Fraction(0)
+    return SimResult(
+        n_participants=n,
+        ports=ports,
+        rounds=rounds,
+        makespan_s=elapsed,
+        bytes_delivered=bytes_delivered,
+        amortized_mb_s=amortized,
+        per_round_seeded=tuple(per_round_seeded),
+        per_round_bytes=tuple(per_round_bytes),
+        genealogies=sim._genealogies(keys),
+        version_coverage={config.base_version.descriptor(): n},
+    )
+
+
+def _reference_redeployment(config):
+    n = config.n_participants
+    ports = config.ports_per_host
+    per_upgrade_bytes = math.ceil(config.upgrade_ratio * config.image_bytes)
+    round_len = config.setup_delay_s + Fraction(per_upgrade_bytes) / (
+        config.bandwidth_mb_s * MB
+    )
+    staging_peak = config.image_bytes + per_upgrade_bytes
+    capacity = config.capacity_kib * KIB
+    track = config.track_genealogies
+    keys = sim._seed_keys(config, n) if track else []
+    headers = [config.base_version] + [header for _, header in config.releases]
+    level = [0] * n
+    elapsed = Fraction(0)
+    rounds = 0
+    per_round_seeded = []
+    per_round_bytes = []
+    applied = 0
+    first_applied_at = None
+
+    def within_horizon(t):
+        return config.horizon_s is None or t <= config.horizon_s
+
+    while True:
+        while applied < len(config.releases) and (
+            config.releases[applied][0] <= elapsed
+            and within_horizon(config.releases[applied][0])
+        ):
+            release_time, header = config.releases[applied]
+            applied += 1
+            level[0] = applied
+            if track:
+                now = sim._floor_time(config, max(release_time, elapsed))
+                master = keys[0]
+                donor = gen.Genealogy(provenance=header)
+                rebirth = gen.GenealogyEvent(
+                    gen.EventKind.BIRTH, now, master.locale, master.capacity_kib, 1
+                )
+                rebuilt = rep.KeyState.from_manifest(
+                    sim._manifest(header, config.image_bytes),
+                    master.capacity_kib,
+                    now,
+                    locale=master.locale,
+                )
+                keys[0] = replace(
+                    rebuilt, genealogy=gen.record_upgrade(master.genealogy, donor, rebirth)
+                )
+            if first_applied_at is None:
+                first_applied_at = elapsed
+        stale = [i for i in range(n) if level[i] < applied]
+        if stale:
+            if not within_horizon(elapsed + round_len):
+                break
+            if staging_peak > capacity:
+                raise rep.CapacityExceeded("upgrade staging")
+            sources = [i for i in range(n) if level[i] == applied]
+            targets = stale[: len(sources) * ports]
+            elapsed += round_len
+            rounds += 1
+            if track:
+                now = sim._floor_time(config, elapsed)
+                _reference_transfer_round(keys, sources, targets, config, now)
+            for target in targets:
+                level[target] = applied
+            per_round_seeded.append(sum(1 for lv in level if lv > 0))
+            per_round_bytes.append(len(targets) * per_upgrade_bytes)
+        elif applied < len(config.releases):
+            next_time = config.releases[applied][0]
+            if not within_horizon(next_time):
+                break
+            elapsed = max(elapsed, next_time)
+        else:
+            break
+
+    makespan = elapsed - first_applied_at if first_applied_at is not None else Fraction(0)
+    coverage = {}
+    for lv in level:
+        desc = headers[lv].descriptor()
+        coverage[desc] = coverage.get(desc, 0) + 1
+    return SimResult(
+        n_participants=n,
+        ports=ports,
+        rounds=rounds,
+        makespan_s=makespan,
+        bytes_delivered=0,
+        amortized_mb_s=Fraction(0),
+        per_round_seeded=tuple(per_round_seeded),
+        per_round_bytes=tuple(per_round_bytes),
+        genealogies=sim._genealogies(keys),
+        version_coverage=coverage,
+        upgrade_bytes=sum(per_round_bytes),
+    )
+
+
+def _outcome(run, config):
+    try:
+        result = run(config)
+    except rep.CapacityExceeded:
+        return "capacity-exceeded"
+    return sim_result_to_json(result), time_series_rows(result)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    room=st.booleans(),
+    n=st.integers(1, 70),
+    seeds=st.integers(1, 8),
+    ports=st.integers(1, 4),
+    release_times=st.lists(
+        st.sampled_from([0, 1, 300, 480, 500, 900, 1500, 3000, 20_000]), min_size=1, max_size=4
+    ),
+    versions=st.lists(st.sampled_from([V1, V2, V3]), min_size=4, max_size=4),
+    horizon=st.sampled_from([None, 0, 480, 1000, 5000, 10**6]),
+    setup=st.sampled_from([0, 120, 300]),
+    ratio=st.sampled_from([Fraction(1, 10), Fraction(1, 2), Fraction(4, 5), Fraction(1)]),
+    image_gb=st.sampled_from([Fraction(27, 10), Fraction(9, 2)]),
+    track=st.booleans(),
+)
+def test_round_loop_matches_reference_model(
+    room, n, seeds, ports, release_times, versions, horizon, setup, ratio, image_gb, track
+):
+    """The shared round loop's prefix counts give the same results, byte
+    for byte, as a per-key level list and O(n) scans per round."""
+    config = SimConfig(
+        n_participants=n,
+        seeds=min(seeds, n),
+        ports_per_host=ports,
+        image_bytes=int(image_gb * GB),
+        setup_delay_s=setup,
+        upgrade_ratio=ratio,
+        releases=tuple(zip(release_times, versions)),
+        horizon_s=horizon,
+        track_genealogies=track,
+    )
+    if room:
+        assert _outcome(run_room, config) == _outcome(_reference_room, config)
+    else:
+        expected = _outcome(_reference_redeployment, config)
+        assert _outcome(run_redeployment, config) == expected
 
 
 # ---------------------------------------------------------------------------
