@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import genealogy as gen
-from .units import KIB, MB, _check_int, _expect, _json_text, _load_json, as_fraction
+from .units import KIB, MB, _check_int, _expect, _json_text, _load_json, _read_field, as_fraction
 
 __all__ = [
     "Bus",
@@ -581,13 +581,9 @@ def execute_plan(plan: ClonePlan, inventory, now: datetime.datetime):
 # JSON load/dump
 
 
-def _header_to_json(h: gen.ProvenanceHeader) -> str:
-    return h.descriptor()
-
-
 def _key_to_json(key: KeyState, genealogy: str) -> dict:
     return {
-        "version": _header_to_json(key.version),
+        "version": key.version.descriptor(),
         "locale": key.locale,
         "image_bytes": key.image_bytes,
         "capacity_kib": key.capacity_kib,
@@ -620,14 +616,6 @@ def _str(where: str, doc: dict, name: str, default: str | None = None) -> str:
 def _bool(where: str, doc: dict, name: str) -> bool:
     """``doc[name]`` as a JSON boolean; an absent field is false."""
     return _expect(f"{where}.{name}", doc.get(name, False), bool, "true or false")
-
-
-def _read_field(where: str, read, value):
-    """``read(value)``; a ValueError it raises names the field ``where``."""
-    try:
-        return read(value)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
 
 
 def _key_from_json(where: str, doc) -> KeyState:
@@ -690,22 +678,23 @@ def inventory_from_json(text: str):
     written by hand to the same schema).  A value of the wrong JSON type
     is a ValueError naming it, such as ``devices[0]: expected an object``,
     and so is a key's genealogy that does not parse
-    (``devices[0].key.genealogy: line 4: ...``)."""
+    (``devices[0].key.genealogy: line 4: ...``) and a repeated device id."""
     doc = _load_json(text)
-    devices = []
+    devices = {}
     items = _expect("devices", doc["devices"], list, "a list")
     for index, item in enumerate(items):
         where = f"devices[{index}]"
         _expect(where, item, dict, "an object")
+        device_id = _str(where, item, "id")
+        if device_id in devices:
+            raise ValueError(f"{where}.id: duplicate device id {device_id!r}")
         key = item.get("key")
-        devices.append(
-            VirtualDevice(
-                id=_str(where, item, "id"),
-                bus=Bus(item["bus"]),
-                capacity_kib=_int(where, item, "capacity_kib"),
-                contents=None if key is None else _key_from_json(f"{where}.key", key),
-                is_boot_source=_bool(where, item, "boot_source"),
-                foreign_data=_bool(where, item, "foreign_data"),
-            )
+        devices[device_id] = VirtualDevice(
+            id=device_id,
+            bus=_read_field(f"{where}.bus", Bus, item["bus"]),
+            capacity_kib=_int(where, item, "capacity_kib"),
+            contents=None if key is None else _key_from_json(f"{where}.key", key),
+            is_boot_source=_bool(where, item, "boot_source"),
+            foreign_data=_bool(where, item, "foreign_data"),
         )
-    return tuple(devices)
+    return tuple(devices.values())

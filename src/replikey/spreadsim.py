@@ -24,7 +24,8 @@ from fractions import Fraction
 
 from . import genealogy as gen
 from . import replicator as rep
-from .units import KIB, MB, _check_int, _expect, _json_text, _load_json, as_fraction, sig6
+from .units import KIB, MB, as_fraction, sig6
+from .units import _check_int, _expect, _json_text, _load_json, _read_field
 
 __all__ = [
     "DEFAULT_CAPACITY_KIB",
@@ -73,10 +74,9 @@ class SimConfig:
     header) and lands on the designated master key when the simulation
     clock reaches it, unless that is past the horizon.
     ``track_genealogies`` turns off per-key genealogy bookkeeping for
-    large parameter sweeps where only the round arithmetic matters: both
-    simulators then build no keys, logs or per-key lists, a run costs
-    O(rounds + releases), and every other field of the result is
-    identical.
+    large parameter sweeps: no keys, logs or per-key lists are built, a
+    run costs O(rounds + releases), every other field of the result is
+    identical, and a clock past year 9999 is refused all the same.
 
     An image larger than the key is refused here (CapacityExceeded):
     every simulated key has the same files, so one check covers every
@@ -125,6 +125,8 @@ class SimConfig:
             raise ValueError("image_bytes and bandwidth_mb_s must be positive")
         if self.setup_delay_s < 0:
             raise ValueError("setup_delay_s must be >= 0")
+        if self.horizon_s is not None and self.horizon_s < 0:
+            raise ValueError("horizon_s must be >= 0")
         if not 0 < self.upgrade_ratio <= 1:
             raise ValueError("upgrade_ratio must be in (0, 1]")
         if self.start_time.tzinfo is None:
@@ -278,8 +280,9 @@ def _round_loop(
         if landed < len(releases) and (horizon is None or releases[landed][0] <= horizon):
             due = releases[landed][0]
         if due is not None and due <= elapsed:
+            now = _floor_time(config, elapsed)
             if track:
-                keys[0] = _land(config, keys[0], releases[landed][1], _floor_time(config, elapsed))
+                keys[0] = _land(config, keys[0], releases[landed][1], now)
             if not landed:
                 start = elapsed
             reach.append(1)
@@ -292,8 +295,8 @@ def _round_loop(
                 raise refusal
             new = min(n - c, c * ports)
             elapsed += round_len
+            now = _floor_time(config, elapsed)
             if track:
-                now = _floor_time(config, elapsed)
                 for j in range(c, c + new):
                     src = (j - c) // ports
                     keys[src], keys[j] = rep.apply_transfer(
@@ -425,17 +428,46 @@ def time_series_rows(result: SimResult) -> list:
 # JSON interfaces
 
 
-def _header(name: str, value) -> gen.ProvenanceHeader:
-    if not isinstance(value, str):
-        raise ValueError(f"{name}: expected a descriptor string, got {value!r}")
-    return gen.ProvenanceHeader.from_descriptor(value)
+def _parsed(what: str, parse):
+    """A reader of a JSON string through ``parse`` whose errors name the field."""
+
+    def read(name: str, value):
+        if not isinstance(value, str):
+            raise ValueError(f"{name}: expected {what} string, got {value!r}")
+        return _read_field(name, parse, value)
+
+    return read
+
+
+_descriptor = _parsed("a descriptor", gen.ProvenanceHeader.from_descriptor)
+
+
+def _releases(name: str, value) -> tuple:
+    releases = []
+    for index, item in enumerate(_expect(name, value, list, "a list")):
+        _expect(f"release {index}", item, dict, "an object")
+        for field in ("time_s", "version"):
+            if field not in item:
+                raise ValueError(f"release {index}: missing field {field!r}")
+        version = _descriptor(f"release {index}: version", item["version"])
+        releases.append((item["time_s"], version))
+    return tuple(releases)
+
+
+# The fields JSON cannot hold as they are, in the order they are read.
+_READERS = {
+    "base_version": _descriptor,
+    "releases": _releases,
+    "start_time": _parsed("a timestamp", datetime.datetime.fromisoformat),
+}
+_RATES = ("bandwidth_mb_s", "setup_delay_s", "upgrade_ratio", "horizon_s")
 
 
 def sim_config_from_json(text: str) -> SimConfig:
-    """Build a SimConfig from its JSON document form.  Rates may be given
-    as numbers or strings; strings are parsed exactly.  A field that is
-    not a SimConfig field is refused, so a misspelling cannot fall back
-    to a default."""
+    """Build a SimConfig from its JSON document form.  Fields go to
+    SimConfig as read, save that a null rate keeps its default and that
+    versions and ``start_time`` are parsed from their strings.  A field
+    SimConfig lacks is refused, so a misspelling cannot become a default."""
     doc = _load_json(text)
     known = {f.name for f in fields(SimConfig)}
     for name in doc:
@@ -443,40 +475,10 @@ def sim_config_from_json(text: str) -> SimConfig:
             raise ValueError(f"unknown field {name!r}")
     if "n_participants" not in doc:
         raise ValueError("missing field 'n_participants'")
-    kwargs = {}
-    for name in (
-        "n_participants",
-        "seeds",
-        "ports_per_host",
-        "image_bytes",
-        "capacity_kib",
-        "track_genealogies",
-    ):
-        if name in doc:
-            kwargs[name] = doc[name]
-    for name in ("bandwidth_mb_s", "setup_delay_s", "upgrade_ratio", "horizon_s"):
-        if name in doc and doc[name] is not None:
-            kwargs[name] = doc[name]
-    if "base_version" in doc:
-        kwargs["base_version"] = _header("base_version", doc["base_version"])
-    if "releases" in doc:
-        releases = []
-        items = _expect("releases", doc["releases"], list, "a list")
-        for index, item in enumerate(items):
-            _expect(f"release {index}", item, dict, "an object")
-            for name in ("time_s", "version"):
-                if name not in item:
-                    raise ValueError(f"release {index}: missing field {name!r}")
-            releases.append(
-                (item["time_s"], _header(f"release {index}: version", item["version"]))
-            )
-        kwargs["releases"] = tuple(releases)
-    if "start_time" in doc:
-        if not isinstance(doc["start_time"], str):
-            raise ValueError(
-                f"start_time: expected a timestamp string, got {doc['start_time']!r}"
-            )
-        kwargs["start_time"] = datetime.datetime.fromisoformat(doc["start_time"])
+    kwargs = {name: v for name, v in doc.items() if v is not None or name not in _RATES}
+    for name, read in _READERS.items():
+        if name in kwargs:
+            kwargs[name] = read(name, kwargs[name])
     return SimConfig(**kwargs)
 
 

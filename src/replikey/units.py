@@ -47,6 +47,14 @@ def _expect(name: str, value, kind: type, what: str):
     return value
 
 
+def _read_field(where: str, read, value):
+    """``read(value)``; a ValueError it raises names the field ``where``."""
+    try:
+        return read(value)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 def _load_json(text: str) -> dict:
     """``json.loads`` of a document that must be a JSON object; one nested
     too deeply for the decoder is a ValueError rather than a

@@ -354,6 +354,7 @@ def test_sim_redeploy_zero_denominator_names_field(capsys, tmp_path, field):
 
 
 _GOOD_RELEASES = [{"time_s": 0, "version": _V11}]
+_V11_BAD_MONTH = _V11.replace("2013-06-01", "2013-13-01")
 
 
 @pytest.mark.parametrize(
@@ -403,6 +404,19 @@ _GOOD_RELEASES = [{"time_s": 0, "version": _V11}]
             "image_bytes: 7000000000 bytes plus upgrade_ratio 4/5 of them to stage an "
             "upgrade (12600000000 bytes) exceed capacity_kib 7812500 (8000000000 bytes)",
         ),
+        (
+            {"n_participants": 4, "base_version": "x"},
+            "base_version: expected 3 ' - '-separated fields, got 1",
+        ),
+        (
+            {"n_participants": 4, "releases": [{"time_s": 0, "version": _V11_BAD_MONTH}]},
+            "release 0: version: month must be in 1..12",
+        ),
+        (
+            {"n_participants": 4, "start_time": "garbage"},
+            "start_time: Invalid isoformat string: 'garbage'",
+        ),
+        ({"n_participants": 4, "horizon_s": -1}, "horizon_s must be >= 0"),
     ],
 )
 def test_sim_redeploy_hostile_field_names_it(capsys, tmp_path, doc, problem):
@@ -469,6 +483,26 @@ def test_clock_past_year_9999_is_one_error_line(capsys, tmp_path):
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {config}: simulated time ")
     assert err.endswith(" s after start_time is past year 9999\n")
+
+
+def test_count_only_refuses_the_same_clock(capsys, tmp_path):
+    """Tracking genealogies or not, a run refuses the same clocks with
+    the same line."""
+    room = ("sim-room", "--n", "4", "--setup-s", "1e15")
+    tracked = run(capsys, *room)
+    assert tracked[0] == 1
+    assert run(capsys, *room, "--count-only") == tracked
+    late = {"time_s": 10**15, "version": _V11}
+    for track in (True, False):
+        config = tmp_path / f"{track}.json"
+        doc = {"n_participants": 4, "releases": [*_GOOD_RELEASES, late]}
+        config.write_text(json.dumps({**doc, "track_genealogies": track}))
+        code, out, err = run(capsys, "sim-redeploy", "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {config}: simulated time 1000000000000000 s after start_time"
+            " is past year 9999\n"
+        )
 
 
 def test_sim_redeploy_bad_json_names_line(capsys, tmp_path):
@@ -700,6 +734,8 @@ def _with(value, *path):
             "devices[0].key.files['/live/filesystem.squashfs'].class:"
             " 'sys' is not a valid FileClass",
         ),
+        (_with("pci", "bus"), "devices[0].bus: 'pci' is not a valid Bus"),
+        (_with("sdc", "id"), "devices[1].id: duplicate device id 'sdc'"),
     ],
 )
 def test_wrongly_typed_inventory_names_item(capsys, tmp_path, doc, problem):

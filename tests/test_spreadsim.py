@@ -1,8 +1,9 @@
 """Tests for the room-deployment and redeployment simulators."""
 
 import datetime
+import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from replikey.spreadsim import (
     summarize,
     time_series_rows,
 )
-from replikey.units import KIB, MB
+from replikey.units import KIB, MB, _load_json
 
 GB = 10**9
 UTC = datetime.timezone.utc
@@ -550,6 +551,66 @@ def test_round_loop_matches_reference_model(
 
 
 # ---------------------------------------------------------------------------
+# the clock past year 9999
+
+# The last whole second after the default start_time that a clock can show.
+_LAST = datetime.datetime.max.replace(tzinfo=UTC) - SimConfig(n_participants=1).start_time
+_LAST = _LAST.days * 86_400 + _LAST.seconds
+
+
+def _run_outcome(run, config):
+    try:
+        return run(config)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    run=st.sampled_from([run_room, run_redeployment]),
+    n=st.integers(1, 12),
+    seeds=st.integers(1, 3),
+    ports=st.integers(1, 3),
+    setup=st.sampled_from(
+        [0, 300, _LAST // 3 - 600, _LAST // 2 - 480, _LAST - 600, _LAST - 599, _LAST, 10**15]
+    ),
+    release_times=st.lists(
+        st.sampled_from([0, 500, _LAST // 2, _LAST - 1, _LAST, _LAST + 1, 10**15]),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_count_only_refuses_the_same_clocks(run, n, seeds, ports, setup, release_times):
+    """With setup delays and release times on both sides of the year-9999
+    edge, tracked and count-only runs refuse the same clocks with the same
+    line, and agree on every count otherwise."""
+    kwargs = dict(
+        n_participants=n,
+        seeds=min(seeds, n),
+        ports_per_host=ports,
+        setup_delay_s=setup,
+        releases=tuple(zip(release_times, (V1, V2, V3))),
+    )
+    tracked = _run_outcome(run, SimConfig(**kwargs))
+    untracked = _run_outcome(run, SimConfig(**kwargs, track_genealogies=False))
+    if isinstance(tracked, str):
+        assert tracked.endswith(" s after start_time is past year 9999")
+        assert untracked == tracked
+    else:
+        assert untracked == replace(tracked, genealogies={})
+
+
+@pytest.mark.parametrize("track", [True, False])
+def test_clock_edge_is_the_last_second_of_year_9999(track):
+    """The clocks sampled above straddle the edge: a round may end on its
+    last second but not one second later."""
+    config = SimConfig(n_participants=2, setup_delay_s=_LAST - 600, track_genealogies=track)
+    assert run_room(config).makespan_s == _LAST
+    with pytest.raises(ValueError, match=f"^simulated time {_LAST + 1} s after start_time"):
+        run_room(replace(config, setup_delay_s=_LAST - 599))
+
+
+# ---------------------------------------------------------------------------
 # reporting
 
 
@@ -617,3 +678,175 @@ def test_result_json_is_stable():
     assert text.endswith("\n")
     assert '"rounds": 2' in text
     assert text == sim_result_to_json(res)
+
+
+# ---------------------------------------------------------------------------
+# reference reader: sim_config_from_json as it was when it restated
+# SimConfig's field lists, against the reader that passes fields through
+
+
+def _reference_header(name, value):
+    if not isinstance(value, str):
+        raise ValueError(f"{name}: expected a descriptor string, got {value!r}")
+    return gen.ProvenanceHeader.from_descriptor(value)
+
+
+def _reference_config_from_json(text):
+    doc = _load_json(text)
+    known = {f.name for f in fields(SimConfig)}
+    for name in doc:
+        if name not in known:
+            raise ValueError(f"unknown field {name!r}")
+    if "n_participants" not in doc:
+        raise ValueError("missing field 'n_participants'")
+    kwargs = {}
+    for name in (
+        "n_participants",
+        "seeds",
+        "ports_per_host",
+        "image_bytes",
+        "capacity_kib",
+        "track_genealogies",
+    ):
+        if name in doc:
+            kwargs[name] = doc[name]
+    for name in ("bandwidth_mb_s", "setup_delay_s", "upgrade_ratio", "horizon_s"):
+        if name in doc and doc[name] is not None:
+            kwargs[name] = doc[name]
+    if "base_version" in doc:
+        kwargs["base_version"] = _reference_header("base_version", doc["base_version"])
+    if "releases" in doc:
+        releases = []
+        items = doc["releases"]
+        if not isinstance(items, list):
+            raise ValueError("releases: expected a list")
+        for index, item in enumerate(items):
+            if not isinstance(item, dict):
+                raise ValueError(f"release {index}: expected an object")
+            for name in ("time_s", "version"):
+                if name not in item:
+                    raise ValueError(f"release {index}: missing field {name!r}")
+            version = _reference_header(f"release {index}: version", item["version"])
+            releases.append((item["time_s"], version))
+        kwargs["releases"] = tuple(releases)
+    if "start_time" in doc:
+        if not isinstance(doc["start_time"], str):
+            raise ValueError(
+                f"start_time: expected a timestamp string, got {doc['start_time']!r}"
+            )
+        kwargs["start_time"] = datetime.datetime.fromisoformat(doc["start_time"])
+    return SimConfig(**kwargs)
+
+
+_any_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**10) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=4,
+)
+_descriptors = st.sampled_from(
+    [
+        V1.descriptor(),
+        V2.descriptor(),
+        "x",
+        "Demo Live 1.1 2013-13-01 en_US.UTF-8 - stable - amd64",
+        "Demo Live 1.1 2013-02-30 en_US.UTF-8 - stable - amd64",
+        "Demo Live 1.1 13-06-01 en_US.UTF-8 - stable - amd64",
+        "Live - stable - amd64",
+    ]
+)
+_timestamps = st.sampled_from(
+    [
+        "2013-02-17 13:01:00+00:00",
+        "2013-02-17T13:01:00+02:00",
+        "2013-02-17 13:01:00",
+        "2013-02-30 13:01:00+00:00",
+        "garbage",
+        "",
+    ]
+)
+_release_times = st.sampled_from([0, 60, "9/2", -1, 0.5, "1/0"])
+_releases = st.lists(
+    st.fixed_dictionaries({"time_s": _release_times, "version": _descriptors})
+    | st.fixed_dictionaries({"time_s": _release_times})
+    | st.fixed_dictionaries({"version": _descriptors})
+    | _descriptors,
+    max_size=3,
+)
+_valid_fields = {
+    "n_participants": st.integers(1, 40),
+    "seeds": st.integers(1, 3),
+    "ports_per_host": st.integers(1, 4),
+    "image_bytes": st.sampled_from([1_000_000_000, 2_700_000_000, 9_000_000_000]),
+    "capacity_kib": st.sampled_from([7_812_500, 1000]),
+    "bandwidth_mb_s": st.sampled_from([4.5, "9/2", 12, None, 0]),
+    "setup_delay_s": st.sampled_from([300, "120", 0.25, None, -1]),
+    "upgrade_ratio": st.sampled_from([0.8, "1/2", 1, None, 2]),
+    "horizon_s": st.sampled_from([None, 0, 5000, "1/3", -1]),
+    "track_genealogies": st.booleans(),
+    "base_version": _descriptors,
+    "start_time": _timestamps,
+    "releases": _releases,
+}
+
+
+@st.composite
+def _config_docs(draw):
+    """A config document of valid and invalid values (releases missing a
+    field or not an object among them), with fields given a value of the
+    wrong JSON type, added under unknown names, or dropped
+    (n_participants too)."""
+    names = draw(st.lists(st.sampled_from(sorted(_valid_fields)), unique=True))
+    doc = {name: draw(_valid_fields[name]) for name in ["n_participants", *names]}
+    for _ in range(draw(st.integers(0, 2))):
+        op = draw(st.sampled_from(["retype", "unknown", "drop"]))
+        if op == "retype":
+            doc[draw(st.sampled_from(sorted(_valid_fields)))] = draw(_any_json)
+        elif op == "unknown":
+            doc[draw(st.sampled_from(["rng_seed", "port_per_host", "Seeds"]))] = 1
+        elif doc:
+            del doc[draw(st.sampled_from(sorted(doc)))]
+    return doc
+
+
+def _read_outcome(read, text):
+    try:
+        return read(text)
+    except (ValueError, rep.ReplicationError) as exc:
+        return type(exc), str(exc)
+
+
+def _first_parse_failure(doc):
+    """(field, reason) of the first descriptor or timestamp string, in
+    reading order, that does not parse, or None."""
+    strings = [("base_version", doc.get("base_version"), gen.ProvenanceHeader.from_descriptor)]
+    if isinstance(doc.get("releases"), list):
+        strings += [
+            (f"release {i}: version", item.get("version"), gen.ProvenanceHeader.from_descriptor)
+            for i, item in enumerate(doc["releases"])
+            if isinstance(item, dict)
+        ]
+    strings.append(("start_time", doc.get("start_time"), datetime.datetime.fromisoformat))
+    for field, value, parse in strings:
+        if isinstance(value, str):
+            try:
+                parse(value)
+            except ValueError as exc:
+                return field, str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_config_docs())
+def test_config_reader_matches_reference(doc):
+    """Passing fields through to SimConfig accepts and refuses the same
+    documents with the same text as reading each field by name, except
+    that a descriptor or timestamp that does not parse is now named."""
+    text = json.dumps(doc)
+    expected = _read_outcome(_reference_config_from_json, text)
+    got = _read_outcome(sim_config_from_json, text)
+    failure = _first_parse_failure(doc)
+    if failure is not None and expected == (ValueError, failure[1]):
+        assert got == (ValueError, f"{failure[0]}: {failure[1]}")
+    else:
+        assert got == expected
