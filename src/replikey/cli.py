@@ -28,7 +28,7 @@ from . import genealogy as gen
 from . import integrity as integ
 from . import replicator as rep
 from . import spreadsim as sim
-from .units import GB, _json_text, sig6
+from .units import GB, _exact, _json_text, sig6
 
 __all__ = ["dispatch", "entry", "CliError"]
 
@@ -85,27 +85,15 @@ def _emit(text: str, out_path):
         raise CliError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
 
 
-def _find_device(inventory, device_id):
-    if device_id is None:
-        for d in inventory:
-            if d.is_boot_source:
-                return d
-        raise CliError("no boot source device in the inventory")
-    for d in inventory:
-        if d.id == device_id:
-            return d
-    raise CliError(f"no device {device_id!r} in the inventory")
-
-
 def _csv(rows) -> str:
     return "".join(",".join(str(cell) for cell in row) + "\n" for row in rows)
 
 
 def _arg_fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+        return _exact("value", text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _arg_timestamp(text: str) -> datetime.datetime:
@@ -130,6 +118,9 @@ def _cmd_genealogy_parse(args) -> str:
 
 def _cmd_genealogy_stats(args) -> str:
     s = gen.stats(_load(args.input, gen.parse))
+    first, last = (
+        None if t is None else t.isoformat(sep=" ") for t in (s.first_event, s.last_event)
+    )
     if args.format == "json":
         doc = {
             "births": s.birth_count,
@@ -137,22 +128,16 @@ def _cmd_genealogy_stats(args) -> str:
             "upgrades": s.upgrade_count,
             "provenance_headers": s.provenance_count,
             "max_embedding_depth": s.max_embedding_depth,
-            "first_event": None
-            if s.first_event is None
-            else s.first_event.isoformat(sep=" "),
-            "last_event": None
-            if s.last_event is None
-            else s.last_event.isoformat(sep=" "),
+            "first_event": first,
+            "last_event": last,
         }
         return _json_text(doc)
-    first = "none" if s.first_event is None else s.first_event.isoformat(sep=" ")
-    last = "none" if s.last_event is None else s.last_event.isoformat(sep=" ")
     return (
         f"births={s.birth_count} spawns={s.spawn_count} upgrades={s.upgrade_count}\n"
         f"provenance_headers={s.provenance_count}\n"
         f"max_embedding_depth={s.max_embedding_depth}\n"
-        f"first_event={first}\n"
-        f"last_event={last}\n"
+        f"first_event={first or 'none'}\n"
+        f"last_event={last or 'none'}\n"
     )
 
 
@@ -162,8 +147,8 @@ def _cmd_genealogy_stats(args) -> str:
 
 def _make_plan(args, inventory) -> rep.ClonePlan:
     target_id = rep.select_target(inventory)
-    source = next(d for d in inventory if d.is_boot_source)
-    target = _find_device(inventory, target_id)
+    source = rep._boot_source(inventory)
+    target = rep._device(inventory, target_id)
     mode = args.mode
     if mode == "auto":
         mode = "fresh" if target.contents is None else "upgrade"
@@ -251,21 +236,26 @@ def _cmd_trust_sim(args) -> str:
 # integrity subcommands
 
 
-def _cmd_manifest(args) -> str:
+def _key_on_device(args) -> rep.KeyState:
+    """The key on ``--device`` (default: the boot source) of ``--inventory``."""
     inventory = _load(args.inventory, rep.inventory_from_json)
-    device = _find_device(inventory, args.device)
+    if args.device is None:
+        device = rep._boot_source(inventory)
+    else:
+        device = rep._device(inventory, args.device)
     if device.contents is None:
         raise CliError(f"device {device.id!r} holds no key")
-    return integ.manifest_to_text(integ.build_manifest(device.contents))
+    return device.contents
+
+
+def _cmd_manifest(args) -> str:
+    return integ.manifest_to_text(integ.build_manifest(_key_on_device(args)))
 
 
 def _cmd_verify(args) -> str:
-    inventory = _load(args.inventory, rep.inventory_from_json)
-    device = _find_device(inventory, args.device)
-    if device.contents is None:
-        raise CliError(f"device {device.id!r} holds no key")
+    key = _key_on_device(args)
     reference = _load(args.reference, integ.manifest_from_text)
-    verdict = integ.check_against(device.contents, reference)
+    verdict = integ.check_against(key, reference)
     out = f"verdict={verdict.outcome.value}\n"
     if verdict.offending_path is not None:
         out += f"offending_path={verdict.offending_path}\n"

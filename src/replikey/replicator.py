@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import genealogy as gen
-from .units import KIB, MB, _check_int, _expect, _json_text, _load_json, _read_field, as_fraction
+from .units import KIB, MB, _check_int, _exact, _expect, _json_text, _load_json, _read_field
 
 __all__ = [
     "Bus",
@@ -302,7 +302,14 @@ def _device(inventory, device_id: str) -> VirtualDevice:
     for d in inventory:
         if d.id == device_id:
             return d
-    raise ReplicationError(f"no device {device_id!r} in inventory")
+    raise ReplicationError(f"no device {device_id!r} in the inventory")
+
+
+def _boot_source(inventory) -> VirtualDevice:
+    for d in inventory:
+        if d.is_boot_source:
+            return d
+    raise ReplicationError("no boot source device in the inventory")
 
 
 @dataclass(frozen=True)
@@ -346,15 +353,12 @@ def select_target(inventory) -> str:
         raise RefusalNotTwoUsb(
             f"need exactly 2 USB devices, found {len(usb)}"
         )
-    boot = next(d for d in devices if d.is_boot_source)
+    boot = _boot_source(devices)
     if boot.bus is not Bus.USB:
         raise RefusalTargetIsSource(
             "booted system is not on a USB key; source and target are indistinguishable"
         )
-    target = usb[0] if usb[1].id == boot.id else usb[1]
-    if target.id == boot.id:
-        raise RefusalTargetIsSource("both USB devices claim to be the boot source")
-    return target.id
+    return usb[0].id if usb[1].id == boot.id else usb[1].id  # ids are unique
 
 
 def _copy_entries(source: KeyState) -> dict:
@@ -365,11 +369,15 @@ def _copy_entries(source: KeyState) -> dict:
     }
 
 
-def _bandwidth(bandwidth_mb_s) -> Fraction:
-    bandwidth = as_fraction(bandwidth_mb_s)
+def _rates(bandwidth_mb_s, upgrade_ratio=DEFAULT_UPGRADE_RATIO) -> tuple:
+    """(bandwidth, ratio) read exactly: positive, and in (0, 1]."""
+    bandwidth = _exact("bandwidth_mb_s", bandwidth_mb_s)
+    ratio = _exact("upgrade_ratio", upgrade_ratio)
     if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
-    return bandwidth
+        raise ValueError("bandwidth_mb_s must be positive")
+    if not 0 < ratio <= 1:
+        raise ValueError("upgrade_ratio must be in (0, 1]")
+    return bandwidth, ratio
 
 
 def _check_transfer(
@@ -434,7 +442,7 @@ def plan_clone(
     The target must hold no key (use plan_upgrade for that) and holding
     foreign data requires allow_overwrite.  Duration is bytes divided by
     the decimal-MB bandwidth, kept exact."""
-    bandwidth = _bandwidth(bandwidth_mb_s)
+    bandwidth, _ = _rates(bandwidth_mb_s)
     # a device without a key copies nothing; the check refuses it
     entries = {} if source.contents is None else _copy_entries(source.contents)
     bytes_total = sum(e.size_bytes for e in entries.values())
@@ -464,10 +472,7 @@ def plan_upgrade(
     Transfer volume is upgrade_ratio × the source image size plus the
     source's share files.  Capacity must cover both the staging peak
     (current contents plus the incoming transfer) and the final state."""
-    bandwidth = _bandwidth(bandwidth_mb_s)
-    ratio = as_fraction(upgrade_ratio)
-    if not 0 < ratio <= 1:
-        raise ValueError("upgrade_ratio must be in (0, 1]")
+    bandwidth, ratio = _rates(bandwidth_mb_s, upgrade_ratio)
     src_key = source.contents
     # a device without a key transfers nothing; the check refuses it
     entries = {} if src_key is None else _copy_entries(src_key)

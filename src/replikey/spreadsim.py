@@ -24,8 +24,8 @@ from fractions import Fraction
 
 from . import genealogy as gen
 from . import replicator as rep
-from .units import KIB, MB, as_fraction, sig6
-from .units import _check_int, _expect, _json_text, _load_json, _read_field
+from .units import KIB, MB, sig6
+from .units import _check_int, _exact, _expect, _json_text, _load_json, _read_field
 
 __all__ = [
     "DEFAULT_CAPACITY_KIB",
@@ -55,14 +55,6 @@ _DEFAULT_VERSION = gen.ProvenanceHeader(
 DEFAULT_CAPACITY_KIB = 7_812_500  # an 8 GB key in 1 KiB blocks
 _IMAGE_BYTES = 2_700_000_000
 _SQUASHFS = "/live/filesystem.squashfs"
-
-
-def _exact(name: str, value) -> Fraction:
-    """``value`` as an exact Fraction, or a ValueError naming the field."""
-    try:
-        return as_fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise ValueError(f"{name}: not an exact number: {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -98,8 +90,10 @@ class SimConfig:
     track_genealogies: bool = True
 
     def __post_init__(self):
-        for name in ("bandwidth_mb_s", "setup_delay_s", "upgrade_ratio"):
-            object.__setattr__(self, name, _exact(name, getattr(self, name)))
+        bandwidth, ratio = rep._rates(self.bandwidth_mb_s, self.upgrade_ratio)
+        object.__setattr__(self, "bandwidth_mb_s", bandwidth)
+        object.__setattr__(self, "setup_delay_s", _exact("setup_delay_s", self.setup_delay_s))
+        object.__setattr__(self, "upgrade_ratio", ratio)
         if self.horizon_s is not None:
             object.__setattr__(self, "horizon_s", _exact("horizon_s", self.horizon_s))
         releases = tuple(
@@ -121,14 +115,12 @@ class SimConfig:
             raise ValueError("seeds must satisfy 1 <= seeds <= n_participants")
         if self.ports_per_host < 1:
             raise ValueError("ports_per_host must be >= 1")
-        if self.image_bytes <= 0 or self.bandwidth_mb_s <= 0:
-            raise ValueError("image_bytes and bandwidth_mb_s must be positive")
+        if self.image_bytes <= 0:
+            raise ValueError("image_bytes must be positive")
         if self.setup_delay_s < 0:
             raise ValueError("setup_delay_s must be >= 0")
         if self.horizon_s is not None and self.horizon_s < 0:
             raise ValueError("horizon_s must be >= 0")
-        if not 0 < self.upgrade_ratio <= 1:
-            raise ValueError("upgrade_ratio must be in (0, 1]")
         if self.start_time.tzinfo is None:
             raise ValueError("start_time must be timezone-aware")
         if self.capacity_kib <= 0:

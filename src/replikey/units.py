@@ -8,6 +8,7 @@ genealogy records are counted in 1 KiB blocks.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 MB = 10**6
@@ -15,17 +16,29 @@ GB = 10**9
 KIB = 1024
 
 
-def as_fraction(x) -> Fraction:
-    """Coerce a rate or ratio to an exact Fraction.
+MAX_DIGITS = 4300  # CPython's limit on reading an int from text, as JSON ints hit
+# What Python 3.10 to 3.13 all read alike with Fraction, in ASCII only; no 0 denominator.
+_NUMBER = re.compile(
+    r"\s*[-+]?(?:\d+/0*[1-9]\d*|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE](?P<exp>[-+]?\d+))?)\s*", re.ASCII
+)
 
-    Floats are read through their decimal repr, so ``as_fraction(0.8)``
-    is exactly 4/5 rather than the nearest binary double.
-    """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
+
+def _exact(name: str, value) -> Fraction:
+    """``value``, a rate, ratio or time from outside, as an exact Fraction:
+    a Fraction, an int (a bool is not one), a finite float read through
+    its repr (0.8 is 4/5) or a ``_NUMBER`` string whose digits plus
+    exponent come to less than MAX_DIGITS, so that its numerator and
+    denominator fit in MAX_DIGITS.  Anything else is a ValueError naming the field."""
+    if isinstance(value, (Fraction, int)) and not isinstance(value, bool):
+        return Fraction(value)
+    text = repr(value) if isinstance(value, float) else value
+    match = _NUMBER.fullmatch(text) if isinstance(text, str) else None
+    if match:
+        # the exponent's digits count too, so int() never reads MAX_DIGITS of them
+        size = sum(c.isdigit() for c in text)
+        if size < MAX_DIGITS and size + abs(int(match["exp"] or 0)) < MAX_DIGITS:
+            return Fraction(text)
+    raise ValueError(f"{name}: not an exact number: {value!r}")
 
 
 def sig6(x) -> float:

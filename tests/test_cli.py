@@ -174,6 +174,32 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+# An exponent that Fraction would expand into a billion-digit integer.
+_STALL = "1e999999999"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ["sim-room", "--n", "4", "--bandwidth", _STALL],
+            f"replikey sim-room: error: argument --bandwidth: value: "
+            f"not an exact number: '{_STALL}'",
+        ),
+        (
+            ["clone-plan", "--inventory", "{inventory}", "--ratio", "1e-999999999"],
+            "replikey clone-plan: error: argument --ratio: value: "
+            "not an exact number: '1e-999999999'",
+        ),
+    ],
+)
+def test_oversize_exponent_flag_exits_two_at_once(inventory_file, argv, line):
+    done = _python_m_replikey(*(a.format(inventory=inventory_file) for a in argv), timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert [ln for ln in done.stderr.splitlines() if "error" in ln] == [line]
+    assert done.stderr.endswith(line + "\n")
+
+
 def test_clone_exec_requires_timestamp(capsys, inventory_file):
     code, _, _ = run(capsys, "clone-exec", "--inventory", inventory_file)
     assert code == 2
@@ -205,8 +231,10 @@ def test_entry_is_wired(capsys, monkeypatch):
     capsys.readouterr()
 
 
-def _python_m_replikey(*argv):
-    """Run the CLI in a fresh interpreter, outside pytest's warning capture."""
+def _python_m_replikey(*argv, timeout=60):
+    """Run the CLI in a fresh interpreter, outside pytest's warning capture.
+
+    A value that stalls the CLI fails the test after ``timeout`` seconds."""
     package_root = str(Path(replikey.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
@@ -215,7 +243,7 @@ def _python_m_replikey(*argv):
         capture_output=True,
         text=True,
         env=env,
-        timeout=60,
+        timeout=timeout,
     )
 
 
@@ -340,17 +368,24 @@ def test_sim_redeploy_bad_release_names_it(capsys, tmp_path, release, problem):
     ["bandwidth_mb_s", "setup_delay_s", "upgrade_ratio", "horizon_s", "releases[0].time_s"],
 )
 def test_sim_redeploy_zero_denominator_names_field(capsys, tmp_path, field):
-    doc = {"n_participants": 4, "releases": [{"time_s": 0, "version": _V11}]}
-    if field == "releases[0].time_s":
-        doc["releases"][0]["time_s"] = "1/0"
-    else:
-        doc[field] = "1/0"
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "sim-redeploy", "--config", str(config))
-    assert code == 1
-    assert out == ""
-    assert err == f"error: {config}: {field}: not an exact number: '1/0'\n"
+    """Neither a zero denominator, nor an exponent too large to expand, nor
+    a boolean, nor a spelling that only some Python versions read is a
+    number; each is refused naming the field."""
+    for value in ("1/0", _STALL, True, "9 / 2", "1_0"):
+        doc = {"n_participants": 4, "releases": [{"time_s": 0, "version": _V11}]}
+        if field == "releases[0].time_s":
+            doc["releases"][0]["time_s"] = value
+        else:
+            doc[field] = value
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        if value == _STALL:
+            done = _python_m_replikey("sim-redeploy", "--config", str(config), timeout=10)
+            code, out, err = done.returncode, done.stdout, done.stderr
+        else:
+            code, out, err = run(capsys, "sim-redeploy", "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err == f"error: {config}: {field}: not an exact number: {value!r}\n"
 
 
 _GOOD_RELEASES = [{"time_s": 0, "version": _V11}]
@@ -640,15 +675,25 @@ def test_verify_bad_reference_file(capsys, inventory_file, tmp_path):
 def test_verify_unknown_device(capsys, inventory_file, tmp_path):
     ref = tmp_path / "ref.txt"
     ref.write_text(integ.manifest_to_text(integ.build_manifest(master_key())))
-    code, _, err = run(
-        capsys,
-        "verify",
-        "--inventory", inventory_file,
-        "--device", "sdz",
-        "--reference", str(ref),
+    for argv in (["verify", "--reference", str(ref)], ["manifest"]):
+        for device, problem in (
+            ("sdz", "replication: no device 'sdz' in the inventory"),
+            ("sdc", "device 'sdc' holds no key"),
+        ):
+            code, out, err = run(
+                capsys, *argv, "--inventory", inventory_file, "--device", device
+            )
+            assert (code, out, err) == (1, "", f"error: {problem}\n")
+
+
+def test_manifest_without_boot_source(capsys, tmp_path):
+    inventory = tmp_path / "inv.json"
+    inventory.write_text(
+        rep.inventory_to_json([rep.VirtualDevice("sdc", rep.Bus.USB, 7_812_500)])
     )
-    assert code == 1
-    assert "sdz" in err
+    code, out, err = run(capsys, "manifest", "--inventory", str(inventory))
+    assert (code, out) == (1, "")
+    assert err == "error: replication: no boot source device in the inventory\n"
 
 
 def test_trust_sim_cli(capsys):
@@ -768,8 +813,18 @@ def test_deeply_nested_json_is_one_error_line(capsys, tmp_path, subcommand):
     assert err == f"error: {path}: JSON document nested too deeply\n"
 
 
+# Number strings with exponents on and far beyond the reader's size limit;
+# none takes long to expand, so a reader that lost the limit fails here
+# rather than hangs (the stall rows run in a subprocess instead).
+_EXPONENTS = ("1e99999", "-2.5E-99999", "1e4295", "1e4294", "1e-4294", "9/2")
+
 _json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=6),
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 40)
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(_EXPONENTS),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=6,

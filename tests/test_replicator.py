@@ -31,6 +31,7 @@ from replikey.replicator import (
     plan_upgrade,
     select_target,
 )
+from replikey.spreadsim import SimConfig
 
 GB = 10**9
 MB = 10**6
@@ -273,6 +274,23 @@ def test_plan_upgrade_custom_ratio():
     src = usb("key0", master(version=NEWER), boot=True)
     plan = plan_upgrade(src, usb("key1", master()), 4.5, upgrade_ratio=1)
     assert plan.duration_s == Fraction(600)
+
+
+@pytest.mark.parametrize(
+    "bandwidth, ratio, problem",
+    [
+        (0, 1, r"\Abandwidth_mb_s must be positive\Z"),
+        (4.5, Fraction(3, 2), r"\Aupgrade_ratio must be in \(0, 1\]\Z"),
+        (True, 1, r"\Abandwidth_mb_s: not an exact number: True\Z"),
+        (4.5, "1_0", r"\Aupgrade_ratio: not an exact number: '1_0'\Z"),
+    ],
+)
+def test_plan_rates_are_read_as_sim_config_reads_them(bandwidth, ratio, problem):
+    src = usb("key0", master(version=NEWER), boot=True)
+    with pytest.raises(ValueError, match=problem):
+        plan_upgrade(src, usb("key1", master()), bandwidth, upgrade_ratio=ratio)
+    with pytest.raises(ValueError, match=problem):
+        SimConfig(n_participants=2, bandwidth_mb_s=bandwidth, upgrade_ratio=ratio)
 
 
 def test_plan_upgrade_requires_existing_key():

@@ -257,9 +257,9 @@ def test_config_validation():
         SimConfig(n_participants=2, seeds=3)
     with pytest.raises(ValueError):
         SimConfig(n_participants=2, ports_per_host=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\Abandwidth_mb_s must be positive\Z"):
         SimConfig(n_participants=2, bandwidth_mb_s=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\Aupgrade_ratio must be in \(0, 1\]\Z"):
         SimConfig(n_participants=2, upgrade_ratio=0)
     with pytest.raises(ValueError):
         SimConfig(n_participants=2, start_time=datetime.datetime(2013, 1, 1))
