@@ -65,8 +65,6 @@ def _load(path: str, read):
             loaded = read(text)
         except json.JSONDecodeError as exc:
             raise CliError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-        except KeyError as exc:
-            raise CliError(f"{path}: missing field {exc.args[0]!r}") from exc
         except (TypeError, ValueError, integ.IntegrityError, rep.ReplicationError) as exc:
             raise CliError(f"{path}: {exc}") from exc
     for w in caught:

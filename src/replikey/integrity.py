@@ -37,7 +37,7 @@ from .spreadsim import (
     _key_ids,
     _manifest,
 )
-from .units import _check_int, _json_text
+from .units import _expect, _json_text
 
 __all__ = [
     "IntegrityError",
@@ -437,8 +437,9 @@ class TrustSimConfig:
     quarantine_flagged: bool = True
 
     def __post_init__(self):
-        for name in ("population", "tampered_initial", "meetings"):
-            _check_int(name, getattr(self, name))
+        for name in ("population", "tampered_initial", "meetings", "rng_seed"):
+            _expect(name, getattr(self, name), int)
+        _expect("quarantine_flagged", self.quarantine_flagged, bool)
         if self.population < 1:
             raise ValueError("population must be at least 1")
         if not 0 <= self.tampered_initial <= self.population:

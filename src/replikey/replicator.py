@@ -17,9 +17,10 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import itemgetter
 
 from . import genealogy as gen
-from .units import KIB, MB, _check_int, _exact, _expect, _json_text, _load_json, _read_field
+from .units import KIB, MB, _exact, _expect, _json_text, _load_json, _object, _parsed, _shown
 
 __all__ = [
     "Bus",
@@ -150,15 +151,6 @@ class ImageManifest:
             raise ValueError("boot_path must be a whitelisted path")
 
 
-def _freeze_files(files) -> tuple:
-    """Normalize a path → FileEntry mapping into a sorted tuple of pairs."""
-    if isinstance(files, tuple):
-        items = files
-    else:
-        items = tuple(sorted(files.items()))
-    return items
-
-
 @dataclass(frozen=True)
 class KeyState:
     """Snapshot of one live key: its image version, classified files,
@@ -166,7 +158,7 @@ class KeyState:
     system has been tampered with."""
 
     version: gen.ProvenanceHeader
-    files: tuple  # sorted ((path, FileEntry), ...)
+    files: tuple  # ((path, FileEntry), ...) sorted by path, from pairs or a dict
     image_bytes: int
     genealogy: gen.Genealogy
     capacity_kib: int
@@ -176,7 +168,8 @@ class KeyState:
     compromised: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "files", _freeze_files(self.files))
+        items = self.files.items() if isinstance(self.files, dict) else self.files
+        object.__setattr__(self, "files", tuple(sorted(items, key=itemgetter(0))))
         if self.locale is None:
             object.__setattr__(self, "locale", self.version.locale)
         if self.capacity_kib <= 0:
@@ -254,7 +247,7 @@ class KeyState:
     def with_file(self, path: str, entry: FileEntry) -> "KeyState":
         files = self.file_map()
         files[path] = entry
-        return replace(self, files=_freeze_files(files))
+        return replace(self, files=files)
 
 
 @dataclass(frozen=True)
@@ -273,6 +266,8 @@ class VirtualDevice:
     def __post_init__(self):
         if not self.id:
             raise ValueError("device id must be non-empty")
+        if not isinstance(self.bus, Bus):
+            raise ValueError(f"bus must be a Bus, got {self.bus!r}")
         if self.capacity_kib <= 0:
             raise ValueError("capacity_kib must be positive")
         if self.contents is not None:
@@ -285,13 +280,20 @@ class VirtualDevice:
                 )
 
 
+def _check_ids(devices) -> None:
+    """A ValueError naming the first device whose id an earlier one has."""
+    seen = set()
+    for index, d in enumerate(devices):
+        if d.id in seen:
+            raise ValueError(f"devices[{index}].id: duplicate device id {_shown(d.id)}")
+        seen.add(d.id)
+
+
 def _check_inventory(inventory) -> list:
     devices = list(inventory)
     if not devices:
         raise ValueError("inventory is empty")
-    ids = [d.id for d in devices]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate device ids in inventory")
+    _check_ids(devices)
     boots = [d for d in devices if d.is_boot_source]
     if len(boots) != 1:
         raise ValueError(f"inventory must have exactly one boot source, found {len(boots)}")
@@ -607,49 +609,30 @@ def _key_to_json(key: KeyState, genealogy: str) -> dict:
     }
 
 
-def _int(where: str, doc: dict, name: str) -> int:
-    _check_int(f"{where}.{name}", doc[name])
-    return doc[name]
-
-
-def _str(where: str, doc: dict, name: str, default: str | None = None) -> str:
-    """``doc[name]`` as a string; ``default`` stands in for an absent field."""
-    value = doc[name] if default is None or name in doc else default
-    return _expect(f"{where}.{name}", value, str, "a string")
-
-
-def _bool(where: str, doc: dict, name: str) -> bool:
-    """``doc[name]`` as a JSON boolean; an absent field is false."""
-    return _expect(f"{where}.{name}", doc.get(name, False), bool, "true or false")
-
-
 def _key_from_json(where: str, doc) -> KeyState:
-    _expect(where, doc, dict, "an object")
+    required = ("version", "files", "image_bytes", "capacity_kib", "boot_path", "genealogy")
+    _object(where, doc, required, ("locale", "share_prefix", "compromised"))
     files = {}
-    listed = _expect(f"{where}.files", doc["files"], dict, "an object")
-    for path, fields in listed.items():
-        at = f"{where}.files[{path!r}]"
-        _expect(at, fields, dict, "an object")
+    for path, fields in _expect(f"{where}.files", doc["files"], dict).items():
+        at = f"{where}.files[{_shown(path)}]"
+        _object(at, fields, ("size", "class"), ("content",))
         files[path] = FileEntry(
-            size_bytes=_int(at, fields, "size"),
-            file_class=_read_field(f"{at}.class", FileClass, fields["class"]),
-            content=_str(at, fields, "content", ""),
+            size_bytes=_expect(f"{at}.size", fields["size"], int),
+            file_class=_parsed(FileClass, f"{at}.class", fields["class"]),
+            content=_expect(f"{at}.content", fields.get("content", ""), str),
         )
-    genealogy = _read_field(f"{where}.genealogy", gen.parse, _str(where, doc, "genealogy"))
+    genealogy = _parsed(gen.parse, f"{where}.genealogy", doc["genealogy"])
+    locale = doc.get("locale")
     return KeyState(
-        version=_read_field(
-            f"{where}.version",
-            gen.ProvenanceHeader.from_descriptor,
-            _str(where, doc, "version"),
-        ),
+        version=_parsed(gen.ProvenanceHeader.from_descriptor, f"{where}.version", doc["version"]),
         files=files,
-        image_bytes=_int(where, doc, "image_bytes"),
+        image_bytes=_expect(f"{where}.image_bytes", doc["image_bytes"], int),
         genealogy=genealogy,
-        capacity_kib=_int(where, doc, "capacity_kib"),
-        boot_path=_str(where, doc, "boot_path"),
-        locale=None if doc.get("locale") is None else _str(where, doc, "locale"),
-        share_prefix=_str(where, doc, "share_prefix", "/share/"),
-        compromised=_bool(where, doc, "compromised"),
+        capacity_kib=_expect(f"{where}.capacity_kib", doc["capacity_kib"], int),
+        boot_path=_expect(f"{where}.boot_path", doc["boot_path"], str),
+        locale=None if locale is None else _expect(f"{where}.locale", locale, str),
+        share_prefix=_expect(f"{where}.share_prefix", doc.get("share_prefix", "/share/"), str),
+        compromised=_expect(f"{where}.compromised", doc.get("compromised", False), bool),
     )
 
 
@@ -680,26 +663,26 @@ def inventory_to_json(inventory) -> str:
 
 def inventory_from_json(text: str):
     """Parse an inventory document produced by inventory_to_json (or
-    written by hand to the same schema).  A value of the wrong JSON type
-    is a ValueError naming it, such as ``devices[0]: expected an object``,
-    and so is a key's genealogy that does not parse
-    (``devices[0].key.genealogy: line 4: ...``) and a repeated device id."""
-    doc = _load_json(text)
-    devices = {}
-    items = _expect("devices", doc["devices"], list, "a list")
-    for index, item in enumerate(items):
-        where = f"devices[{index}]"
-        _expect(where, item, dict, "an object")
-        device_id = _str(where, item, "id")
-        if device_id in devices:
-            raise ValueError(f"{where}.id: duplicate device id {device_id!r}")
+    written by hand to the same schema).  A field an object in it lacks
+    or does not know, a value of the wrong JSON type, a key's genealogy
+    that does not parse and a repeated device id are each a ValueError
+    naming the item (``devices[1]: unknown field 'foriegn_data'``,
+    ``devices[0].key.genealogy: line 4: ...``)."""
+    doc = _object("", _load_json(text), ("devices",))
+    devices = []
+    for index, item in enumerate(_expect("devices", doc["devices"], list)):
+        at = f"devices[{index}]"
+        _object(at, item, ("id", "bus", "capacity_kib"), ("boot_source", "foreign_data", "key"))
         key = item.get("key")
-        devices[device_id] = VirtualDevice(
-            id=device_id,
-            bus=_read_field(f"{where}.bus", Bus, item["bus"]),
-            capacity_kib=_int(where, item, "capacity_kib"),
-            contents=None if key is None else _key_from_json(f"{where}.key", key),
-            is_boot_source=_bool(where, item, "boot_source"),
-            foreign_data=_bool(where, item, "foreign_data"),
+        devices.append(
+            VirtualDevice(
+                id=_expect(f"{at}.id", item["id"], str),
+                bus=_parsed(Bus, f"{at}.bus", item["bus"]),
+                capacity_kib=_expect(f"{at}.capacity_kib", item["capacity_kib"], int),
+                contents=None if key is None else _key_from_json(f"{at}.key", key),
+                is_boot_source=_expect(f"{at}.boot_source", item.get("boot_source", False), bool),
+                foreign_data=_expect(f"{at}.foreign_data", item.get("foreign_data", False), bool),
+            )
         )
-    return tuple(devices.values())
+    _check_ids(devices)
+    return tuple(devices)

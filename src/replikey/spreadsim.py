@@ -21,11 +21,12 @@ import datetime
 import math
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import partial
 
 from . import genealogy as gen
 from . import replicator as rep
 from .units import KIB, MB, sig6
-from .units import _check_int, _exact, _expect, _json_text, _load_json, _read_field
+from .units import _exact, _expect, _json_text, _load_json, _object, _parsed
 
 __all__ = [
     "DEFAULT_CAPACITY_KIB",
@@ -104,11 +105,8 @@ class SimConfig:
             self, "releases", tuple(sorted(releases, key=lambda r: r[0]))
         )
         for name in ("n_participants", "seeds", "ports_per_host", "image_bytes", "capacity_kib"):
-            _check_int(name, getattr(self, name))
-        if not isinstance(self.track_genealogies, bool):
-            raise ValueError(
-                f"track_genealogies: expected true or false, got {self.track_genealogies!r}"
-            )
+            _expect(name, getattr(self, name), int)
+        _expect("track_genealogies", self.track_genealogies, bool)
         if self.n_participants < 1:
             raise ValueError("n_participants must be >= 1")
         if not 1 <= self.seeds <= self.n_participants:
@@ -420,29 +418,15 @@ def time_series_rows(result: SimResult) -> list:
 # JSON interfaces
 
 
-def _parsed(what: str, parse):
-    """A reader of a JSON string through ``parse`` whose errors name the field."""
-
-    def read(name: str, value):
-        if not isinstance(value, str):
-            raise ValueError(f"{name}: expected {what} string, got {value!r}")
-        return _read_field(name, parse, value)
-
-    return read
-
-
-_descriptor = _parsed("a descriptor", gen.ProvenanceHeader.from_descriptor)
+_descriptor = partial(_parsed, gen.ProvenanceHeader.from_descriptor)
 
 
 def _releases(name: str, value) -> tuple:
     releases = []
-    for index, item in enumerate(_expect(name, value, list, "a list")):
-        _expect(f"release {index}", item, dict, "an object")
-        for field in ("time_s", "version"):
-            if field not in item:
-                raise ValueError(f"release {index}: missing field {field!r}")
-        version = _descriptor(f"release {index}: version", item["version"])
-        releases.append((item["time_s"], version))
+    for index, item in enumerate(_expect(name, value, list)):
+        where = f"{name}[{index}]"
+        _object(where, item, ("time_s", "version"))
+        releases.append((item["time_s"], _descriptor(f"{where}.version", item["version"])))
     return tuple(releases)
 
 
@@ -450,23 +434,19 @@ def _releases(name: str, value) -> tuple:
 _READERS = {
     "base_version": _descriptor,
     "releases": _releases,
-    "start_time": _parsed("a timestamp", datetime.datetime.fromisoformat),
+    "start_time": partial(_parsed, datetime.datetime.fromisoformat),
 }
 _RATES = ("bandwidth_mb_s", "setup_delay_s", "upgrade_ratio", "horizon_s")
+_FIELDS = tuple(f.name for f in fields(SimConfig))
 
 
 def sim_config_from_json(text: str) -> SimConfig:
     """Build a SimConfig from its JSON document form.  Fields go to
     SimConfig as read, save that a null rate keeps its default and that
-    versions and ``start_time`` are parsed from their strings.  A field
-    SimConfig lacks is refused, so a misspelling cannot become a default."""
-    doc = _load_json(text)
-    known = {f.name for f in fields(SimConfig)}
-    for name in doc:
-        if name not in known:
-            raise ValueError(f"unknown field {name!r}")
-    if "n_participants" not in doc:
-        raise ValueError("missing field 'n_participants'")
+    versions and ``start_time`` are parsed from their strings.  The
+    document and each release are refused for a field they do not know
+    or lack, so a misspelling cannot become a default."""
+    doc = _object("", _load_json(text), ("n_participants",), _FIELDS)
     kwargs = {name: v for name, v in doc.items() if v is not None or name not in _RATES}
     for name, read in _READERS.items():
         if name in kwargs:

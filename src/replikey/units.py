@@ -38,7 +38,7 @@ def _exact(name: str, value) -> Fraction:
         size = sum(c.isdigit() for c in text)
         if size < MAX_DIGITS and size + abs(int(match["exp"] or 0)) < MAX_DIGITS:
             return Fraction(text)
-    raise ValueError(f"{name}: not an exact number: {value!r}")
+    raise ValueError(f"{name}: not an exact number: {_shown(value)}")
 
 
 def sig6(x) -> float:
@@ -46,26 +46,61 @@ def sig6(x) -> float:
     return float(f"{float(x):.6g}")
 
 
-def _check_int(name: str, value) -> None:
-    """A ValueError naming the field unless ``value`` is an int (a bool
-    is not)."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name}: expected an integer, got {value!r}")
+_WHAT = {
+    int: "an integer", str: "a string", bool: "true or false", dict: "an object", list: "a list"
+}
+_TOO_BIG = 10 ** (MAX_DIGITS - 1)  # the least integer of MAX_DIGITS digits
+_OVERSIZE = object()  # a JSON integer of MAX_DIGITS digits or more, which no field accepts
 
 
-def _expect(name: str, value, kind: type, what: str):
-    """``value`` if it is a ``kind``, else a ValueError naming the field."""
-    if not isinstance(value, kind):
-        raise ValueError(f"{name}: expected {what}")
+def _shown(value) -> str:
+    """``value`` for a diagnostic: its repr cut to 80 characters, and an
+    integer too long for CPython to print described instead."""
+    if value is _OVERSIZE or isinstance(value, int) and not -_TOO_BIG < value < _TOO_BIG:
+        return f"an integer of {MAX_DIGITS} digits or more"
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
+def _expect(name: str, value, kind: type):
+    """``value`` if it is a ``kind``, else a ValueError naming the field.
+    An int is never a bool, and has fewer than MAX_DIGITS digits."""
+    ok = isinstance(value, kind)
+    if kind is int:
+        ok = ok and type(value) is not bool and -_TOO_BIG < value < _TOO_BIG
+    if not ok:
+        raise ValueError(f"{name}: expected {_WHAT[kind]}, got {_shown(value)}")
     return value
 
 
-def _read_field(where: str, read, value):
-    """``read(value)``; a ValueError it raises names the field ``where``."""
+def _object(where: str, doc, required=(), optional=()) -> dict:
+    """``doc`` if it is a JSON object holding each ``required`` field and
+    no field that is neither required nor ``optional``, else a ValueError
+    naming ``where`` (empty for a whole document, whose fields go bare)."""
+    _expect(where, doc, dict)
+    prefix = f"{where}: " if where else ""
+    for name in doc:
+        if name not in required and name not in optional:
+            raise ValueError(f"{prefix}unknown field {_shown(name)}")
+    for name in required:
+        if name not in doc:
+            raise ValueError(f"{prefix}missing field {name!r}")
+    return doc
+
+
+def _parsed(read, name: str, value):
+    """``read(value)`` of the JSON string ``value``; a value that is no
+    string, and a ValueError ``read`` raises, name the field ``name``."""
+    text = _expect(name, value, str)
     try:
-        return read(value)
+        return read(text)
     except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
+        raise ValueError(f"{name}: {exc}") from exc
+
+
+def _json_int(digits: str):
+    """A JSON integer: an int, or ``_OVERSIZE`` from MAX_DIGITS digits on."""
+    return int(digits) if len(digits.lstrip("-")) < MAX_DIGITS else _OVERSIZE
 
 
 def _load_json(text: str) -> dict:
@@ -73,7 +108,7 @@ def _load_json(text: str) -> dict:
     too deeply for the decoder is a ValueError rather than a
     RecursionError."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_json_int)
     except RecursionError:
         raise ValueError("JSON document nested too deeply") from None
     if not isinstance(doc, dict):

@@ -19,6 +19,7 @@ from replikey import integrity as integ
 from replikey import replicator as rep
 from replikey import spreadsim as sim
 from replikey.cli import dispatch, entry
+from replikey.units import MAX_DIGITS
 
 DATA = Path(__file__).parent / "data"
 SAMPLE = str(DATA / "sample_genealogy.txt")
@@ -350,7 +351,8 @@ _V11 = "Demo Live 1.1 2013-06-01 en_US.UTF-8 - stable - amd64"
     [
         ({"time_s": 0}, "missing field 'version'"),
         ({"version": _V11}, "missing field 'time_s'"),
-        (_V11, "expected an object"),
+        (_V11, f"expected an object, got {_V11!r}"),
+        ({"time_s": 0, "version": _V11, "note": 1}, "unknown field 'note'"),
     ],
 )
 def test_sim_redeploy_bad_release_names_it(capsys, tmp_path, release, problem):
@@ -360,7 +362,7 @@ def test_sim_redeploy_bad_release_names_it(capsys, tmp_path, release, problem):
     code, out, err = run(capsys, "sim-redeploy", "--config", str(config))
     assert code == 1
     assert out == ""
-    assert err == f"error: {config}: release 1: {problem}\n"
+    assert err == f"error: {config}: releases[1]: {problem}\n"
 
 
 @pytest.mark.parametrize(
@@ -409,20 +411,24 @@ _V11_BAD_MONTH = _V11.replace("2013-06-01", "2013-13-01")
             {"n_participants": 4, "capacity_kib": None},
             "capacity_kib: expected an integer, got None",
         ),
-        ({"n_participants": 4, "releases": 5}, "releases: expected a list"),
+        pytest.param(
+            {"n_participants": 4, "releases": 5},
+            "releases: expected a list, got 5",
+            id="doc5-releases: expected a list",
+        ),
         ([], "expected a JSON object"),
         ({"releases": _GOOD_RELEASES}, "missing field 'n_participants'"),
         (
             {"n_participants": 4, "base_version": 5},
-            "base_version: expected a descriptor string, got 5",
+            "base_version: expected a string, got 5",
         ),
         (
             {"n_participants": 4, "releases": [{"time_s": 0, "version": 5}]},
-            "release 0: version: expected a descriptor string, got 5",
+            "releases[0].version: expected a string, got 5",
         ),
         (
             {"n_participants": 4, "start_time": 5},
-            "start_time: expected a timestamp string, got 5",
+            "start_time: expected a string, got 5",
         ),
         (
             {"n_participants": 4, "track_genealogies": "no"},
@@ -445,7 +451,7 @@ _V11_BAD_MONTH = _V11.replace("2013-06-01", "2013-13-01")
         ),
         (
             {"n_participants": 4, "releases": [{"time_s": 0, "version": _V11_BAD_MONTH}]},
-            "release 0: version: month must be in 1..12",
+            "releases[0].version: month must be in 1..12",
         ),
         (
             {"n_participants": 4, "start_time": "garbage"},
@@ -743,32 +749,51 @@ def _with(value, *path):
 @pytest.mark.parametrize(
     "doc, problem",
     [
-        ({"devices": [["x"]]}, "devices[0]: expected an object"),
-        ({"devices": {"sdb": {}}}, "devices: expected a list"),
-        (_with([1], "key", "files"), "devices[0].key.files: expected an object"),
+        pytest.param(
+            {"devices": [["x"]]},
+            "devices[0]: expected an object, got ['x']",
+            id="doc0-devices[0]: expected an object",
+        ),
+        pytest.param(
+            {"devices": {"sdb": {}}},
+            "devices: expected a list, got {'sdb': {}}",
+            id="doc1-devices: expected a list",
+        ),
+        (_with([1], "key", "files"), "devices[0].key.files: expected an object, got [1]"),
         (
             _with({"/live/filesystem.squashfs": [1]}, "key", "files"),
-            "devices[0].key.files['/live/filesystem.squashfs']: expected an object",
+            "devices[0].key.files['/live/filesystem.squashfs']: expected an object, got [1]",
         ),
-        (
+        pytest.param(
             {"devices": [{"id": ["sdb"], "bus": "usb", "capacity_kib": 1}]},
-            "devices[0].id: expected a string",
+            "devices[0].id: expected a string, got ['sdb']",
+            id="doc4-devices[0].id: expected a string",
         ),
         (
             {"devices": [{"id": "sdb", "bus": "usb", "capacity_kib": float("inf")}]},
             "devices[0].capacity_kib: expected an integer, got inf",
         ),
-        (_with("true", "boot_source"), "devices[0].boot_source: expected true or false"),
-        (_with("false", "foreign_data"), "devices[0].foreign_data: expected true or false"),
+        (
+            _with("true", "boot_source"),
+            "devices[0].boot_source: expected true or false, got 'true'",
+        ),
+        (
+            _with("false", "foreign_data"),
+            "devices[0].foreign_data: expected true or false, got 'false'",
+        ),
         (
             _with("false", "key", "compromised"),
-            "devices[0].key.compromised: expected true or false",
+            "devices[0].key.compromised: expected true or false, got 'false'",
         ),
         (
             _with("x what\n", "key", "genealogy"),
             "devices[0].key.genealogy: line 1: unknown line tag 'x'",
         ),
-        ({"devices": [{"id": "sdb", "capacity_kib": 1}]}, "missing field 'bus'"),
+        pytest.param(
+            {"devices": [{"id": "sdb", "capacity_kib": 1}]},
+            "devices[0]: missing field 'bus'",
+            id="doc10-missing field 'bus'",
+        ),
         ([{"devices": []}], "expected a JSON object"),
         (
             _with("x", "key", "version"),
@@ -789,6 +814,84 @@ def test_wrongly_typed_inventory_names_item(capsys, tmp_path, doc, problem):
     code, out, err = run(capsys, "manifest", "--inventory", str(path))
     assert (code, out) == (1, "")
     assert err == f"error: {path}: {problem}\n"
+
+
+@pytest.mark.parametrize(
+    "device, path, problem",
+    [
+        (1, ("foriegn_data",), "devices[1]: unknown field 'foriegn_data'"),
+        (0, ("key", "compromized"), "devices[0].key: unknown field 'compromized'"),
+    ],
+)
+def test_clone_exec_refuses_a_misspelled_guard(capsys, tmp_path, device, path, problem):
+    """A misspelled ``foreign_data`` would let the clone overwrite the
+    target unasked, and a misspelled ``compromised`` would drop the tamper
+    mark from both keys; each is refused and nothing is written."""
+    doc = _master_doc()
+    item = doc["devices"][device]
+    for name in path[:-1]:
+        item = item[name]
+    item[path[-1]] = True
+    inventory, written = tmp_path / "inventory.json", tmp_path / "after.json"
+    inventory.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys,
+        "clone-exec",
+        "--inventory", str(inventory),
+        "--at", "2013-02-17 13:11:38+00:00",
+        "--output", str(written),
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: {inventory}: {problem}\n"
+    assert not written.exists()
+
+
+_OVERSIZE = f"an integer of {MAX_DIGITS} digits or more"
+
+
+@pytest.mark.parametrize(
+    "subcommand, field, problem",
+    [
+        (
+            "manifest --inventory",
+            "capacity_kib",
+            f"devices[0].capacity_kib: expected an integer, got {_OVERSIZE}",
+        ),
+        (
+            "sim-redeploy --config",
+            "image_bytes",
+            f"image_bytes: expected an integer, got {_OVERSIZE}",
+        ),
+        (
+            "sim-redeploy --config",
+            "time_s",
+            f"releases[0].time_s: not an exact number: {_OVERSIZE}",
+        ),
+    ],
+)
+@pytest.mark.parametrize("digits", [MAX_DIGITS, MAX_DIGITS + 1])
+def test_json_integer_too_long_names_its_field(
+    capsys, tmp_path, subcommand, field, problem, digits
+):
+    """A JSON integer of MAX_DIGITS digits or more is refused by the field
+    check, naming the field, in the same words on every Python version."""
+    if subcommand.startswith("manifest"):
+        doc = _master_doc()
+        doc["devices"][0][field] = "@"
+    else:
+        doc = {"n_participants": 4, "releases": [{"time_s": 0, "version": _V11}]}
+        (doc["releases"][0] if field == "time_s" else doc)[field] = "@"
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc).replace('"@"', "9" * digits))
+    code, out, err = run(capsys, *subcommand.split(), str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: {problem}\n"
+
+
+def test_sim_room_image_too_large_to_print_names_it(capsys):
+    code, out, err = run(capsys, "sim-room", "--n", "4", "--image-gb", "1e4294")
+    assert (code, out) == (1, "")
+    assert err == f"error: image_bytes: expected an integer, got {_OVERSIZE}\n"
 
 
 def test_inventory_lint_finding_is_one_warning_line(tmp_path):

@@ -477,13 +477,21 @@ def test_trust_sim_config_validation():
         TrustSimConfig(4, 1, 1, "random-draw")
 
 
-@pytest.mark.parametrize("field", ["population", "tampered_initial", "meetings"])
+@pytest.mark.parametrize("field", ["population", "tampered_initial", "meetings", "rng_seed"])
 @pytest.mark.parametrize("value", ["4", 2.0, True, None])
 def test_trust_sim_config_names_non_integer_field(field, value):
     fields = {"population": 4, "tampered_initial": 1, "meetings": 3}
     fields[field] = value
     with pytest.raises(ValueError, match=f"^{field}: expected an integer, got "):
         TrustSimConfig(**fields, protocol=Protocol.RANDOM_DRAW)
+
+
+@pytest.mark.parametrize("value", ["no", 0, None])
+def test_trust_sim_config_names_non_boolean_quarantine(value):
+    """``quarantine_flagged="no"`` would act as true."""
+    with pytest.raises(ValueError) as exc:
+        TrustSimConfig(4, 1, 3, Protocol.RANDOM_DRAW, quarantine_flagged=value)
+    assert str(exc.value) == f"quarantine_flagged: expected true or false, got {value!r}"
 
 
 def _reference_trust_sim(config):

@@ -3,10 +3,11 @@ and path classification."""
 
 import dataclasses
 import datetime
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from replikey import genealogy as gen
 from replikey.replicator import (
@@ -452,6 +453,32 @@ def test_inventory_json_round_trip():
     assert inventory_to_json(inventory_from_json(text)) == text
 
 
+def test_duplicate_device_id_is_one_rule():
+    """The reader and the operations refuse a repeated id in one text."""
+    inv = (usb("key0", master(), boot=True), usb("blank0"), usb("blank0"))
+    with pytest.raises(ValueError) as read:
+        inventory_from_json(inventory_to_json(inv))
+    with pytest.raises(ValueError) as gate:
+        select_target(inv)
+    assert str(read.value) == str(gate.value) == "devices[2].id: duplicate device id 'blank0'"
+
+
+def test_device_bus_must_be_a_bus():
+    """A bus given as its JSON text would count as not USB at the gate:
+    with a booted key and a third USB key beside it, the gate would pick
+    the third key instead of refusing."""
+    with pytest.raises(ValueError, match=r"^bus must be a Bus, got 'usb'$"):
+        VirtualDevice("blank0", "usb", 7_812_500)
+
+
+def test_key_files_compare_alike_from_a_dict_or_pairs():
+    key = master().with_file("/share/a.pdf", FileEntry(7, FileClass.SHARE, "a"))
+    pairs = tuple(reversed(key.files))
+    assert [p for p, _ in pairs] != sorted(p for p, _ in pairs)
+    assert dataclasses.replace(key, files=pairs) == dataclasses.replace(key, files=dict(pairs))
+    assert dataclasses.replace(key, files=pairs).files == key.files
+
+
 def test_from_manifest_sizes_sum_to_image():
     key = master()
     assert sum(e.size_bytes for _, e in key.files) == 2_700_000_000
@@ -609,3 +636,69 @@ def test_accepted_plan_executes_property(inventory, allow_overwrite):
             continue
         out = execute_plan(plan, inventory, T0)
         assert out[1].contents.version == source.contents.version
+
+
+# ---------------------------------------------------------------------------
+# the object rule, at every level of an inventory document
+
+# level: (required fields, optional fields), as the README lists them
+_INVENTORY_FIELDS = {
+    "document": (("devices",), ()),
+    "device": (("id", "bus", "capacity_kib"), ("boot_source", "foreign_data", "key")),
+    "key": (
+        ("version", "files", "image_bytes", "capacity_kib", "boot_path", "genealogy"),
+        ("locale", "share_prefix", "compromised"),
+    ),
+    "file entry": (("size", "class"), ("content",)),
+}
+
+
+def _inventory_objects(doc):
+    """(path, level, object) for every JSON object in an inventory document."""
+    yield "", "document", doc
+    for i, device in enumerate(doc["devices"]):
+        yield f"devices[{i}]", "device", device
+        if device["key"] is not None:
+            yield f"devices[{i}].key", "key", device["key"]
+            for path, entry in device["key"]["files"].items():
+                yield f"devices[{i}].key.files[{path!r}]", "file entry", entry
+
+
+@st.composite
+def _json_inventories(draw):
+    """A booted loaded key beside blank, foreign-data, internal and
+    loaded devices."""
+    devices = [usb("key0", draw(_loaded_keys()), boot=True)]
+    for i in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["blank", "foreign", "internal", "key"]))
+        if kind == "internal":
+            devices.append(internal(f"hd{i}"))
+        else:
+            key = draw(_loaded_keys()) if kind == "key" else None
+            devices.append(usb(f"dev{i}", key, foreign=kind == "foreign"))
+    return tuple(devices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_json_inventories(), st.data())
+def test_inventory_objects_refuse_unknown_and_missing_fields(inventory, data):
+    """An untouched document reads back equal; one object given a field it
+    does not know, or without one it needs, is refused naming both."""
+    text = inventory_to_json(inventory)
+    assert inventory_from_json(text) == inventory
+    doc = json.loads(text)
+    path, level, obj = data.draw(st.sampled_from(list(_inventory_objects(doc))))
+    required, optional = _INVENTORY_FIELDS[level]
+    assert set(obj) == {*required, *optional}
+    prefix = f"{path}: " if path else ""
+    if data.draw(st.booleans()):
+        name = data.draw(st.text(max_size=12).filter(lambda n: n not in obj))
+        obj[name] = data.draw(st.none() | st.booleans() | st.integers() | st.text(max_size=4))
+        problem = f"{prefix}unknown field {name!r}"
+    else:
+        name = data.draw(st.sampled_from(required))
+        del obj[name]
+        problem = f"{prefix}missing field {name!r}"
+    with pytest.raises(ValueError) as exc:
+        inventory_from_json(json.dumps(doc))
+    assert str(exc.value) == problem

@@ -685,9 +685,14 @@ def test_result_json_is_stable():
 # SimConfig's field lists, against the reader that passes fields through
 
 
+def _reference_shown(value):
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 def _reference_header(name, value):
     if not isinstance(value, str):
-        raise ValueError(f"{name}: expected a descriptor string, got {value!r}")
+        raise ValueError(f"{name}: expected a string, got {_reference_shown(value)}")
     return gen.ProvenanceHeader.from_descriptor(value)
 
 
@@ -719,20 +724,25 @@ def _reference_config_from_json(text):
         releases = []
         items = doc["releases"]
         if not isinstance(items, list):
-            raise ValueError("releases: expected a list")
+            raise ValueError(f"releases: expected a list, got {_reference_shown(items)}")
         for index, item in enumerate(items):
             if not isinstance(item, dict):
-                raise ValueError(f"release {index}: expected an object")
+                raise ValueError(
+                    f"releases[{index}]: expected an object, got {_reference_shown(item)}"
+                )
+            for name in item:
+                if name not in ("time_s", "version"):
+                    raise ValueError(f"releases[{index}]: unknown field {name!r}")
             for name in ("time_s", "version"):
                 if name not in item:
-                    raise ValueError(f"release {index}: missing field {name!r}")
-            version = _reference_header(f"release {index}: version", item["version"])
+                    raise ValueError(f"releases[{index}]: missing field {name!r}")
+            version = _reference_header(f"releases[{index}].version", item["version"])
             releases.append((item["time_s"], version))
         kwargs["releases"] = tuple(releases)
     if "start_time" in doc:
         if not isinstance(doc["start_time"], str):
             raise ValueError(
-                f"start_time: expected a timestamp string, got {doc['start_time']!r}"
+                f"start_time: expected a string, got {_reference_shown(doc['start_time'])}"
             )
         kwargs["start_time"] = datetime.datetime.fromisoformat(doc["start_time"])
     return SimConfig(**kwargs)
@@ -822,7 +832,7 @@ def _first_parse_failure(doc):
     strings = [("base_version", doc.get("base_version"), gen.ProvenanceHeader.from_descriptor)]
     if isinstance(doc.get("releases"), list):
         strings += [
-            (f"release {i}: version", item.get("version"), gen.ProvenanceHeader.from_descriptor)
+            (f"releases[{i}].version", item.get("version"), gen.ProvenanceHeader.from_descriptor)
             for i, item in enumerate(doc["releases"])
             if isinstance(item, dict)
         ]
@@ -850,3 +860,90 @@ def test_config_reader_matches_reference(doc):
         assert got == (ValueError, f"{failure[0]}: {failure[1]}")
     else:
         assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# the object rule, at both levels of a redeploy config
+
+_CONFIG_OPTIONAL = (
+    "seeds",
+    "ports_per_host",
+    "image_bytes",
+    "bandwidth_mb_s",
+    "setup_delay_s",
+    "upgrade_ratio",
+    "releases",
+    "base_version",
+    "capacity_kib",
+    "start_time",
+    "horizon_s",
+    "track_genealogies",
+)
+_exact_values = st.fractions(min_value=Fraction(1, 100), max_value=10**4, max_denominator=1000)
+
+
+@st.composite
+def _valid_configs(draw):
+    """(document, the SimConfig it stands for): a valid config with some
+    optional fields set, and one to three releases."""
+    n = draw(st.integers(1, 40))
+    kwargs = {"n_participants": n}
+    doc = {"n_participants": n}
+    for name in draw(st.lists(st.sampled_from(_CONFIG_OPTIONAL), unique=True)):
+        value = {
+            "seeds": st.integers(1, n),
+            "ports_per_host": st.integers(1, 4),
+            "image_bytes": st.integers(1, 2_700_000_000),
+            "bandwidth_mb_s": _exact_values,
+            "setup_delay_s": _exact_values,
+            "upgrade_ratio": st.fractions(Fraction(1, 100), 1, max_denominator=100),
+            "base_version": st.sampled_from([V1, V2]),
+            "capacity_kib": st.integers(2_700_000_000 // KIB + 1, 10**8),
+            "start_time": st.sampled_from(
+                [datetime.datetime(2014, 3, 1, 8, 30, tzinfo=UTC), sim._EPOCH]
+            ),
+            "releases": st.lists(st.tuples(_exact_values, st.sampled_from([V2, V3])), max_size=3),
+            "horizon_s": _exact_values,
+            "track_genealogies": st.booleans(),
+        }[name]
+        kwargs[name] = draw(value)
+    kwargs["releases"] = kwargs.get("releases") or [(Fraction(60), V2)]
+    for name, value in kwargs.items():
+        if isinstance(value, Fraction):
+            doc[name] = str(value)
+        elif isinstance(value, gen.ProvenanceHeader):
+            doc[name] = value.descriptor()
+        elif isinstance(value, datetime.datetime):
+            doc[name] = value.isoformat()
+        elif name == "releases":
+            doc[name] = [{"time_s": str(t), "version": v.descriptor()} for t, v in value]
+        else:
+            doc[name] = value
+    return doc, SimConfig(**{**kwargs, "releases": tuple(kwargs["releases"])})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_valid_configs(), st.data())
+def test_config_objects_refuse_unknown_and_missing_fields(valid, data):
+    """An untouched config reads back as the SimConfig it stands for; the
+    document or a release given a field it does not know, or without one
+    it needs, is refused naming both."""
+    doc, config = valid
+    assert sim_config_from_json(json.dumps(doc)) == config
+    levels = [("", doc, ("n_participants",), _CONFIG_OPTIONAL)]
+    for i, release in enumerate(doc["releases"]):
+        levels.append((f"releases[{i}]", release, ("time_s", "version"), ()))
+    path, obj, required, optional = data.draw(st.sampled_from(levels))
+    assert set(required) <= set(obj) <= {*required, *optional}
+    prefix = f"{path}: " if path else ""
+    if data.draw(st.booleans()):
+        name = data.draw(st.text(max_size=12).filter(lambda n: n not in (*required, *optional)))
+        obj[name] = data.draw(st.none() | st.booleans() | st.integers() | st.text(max_size=4))
+        problem = f"{prefix}unknown field {name!r}"
+    else:
+        name = data.draw(st.sampled_from(required))
+        del obj[name]
+        problem = f"{prefix}missing field {name!r}"
+    with pytest.raises(ValueError) as exc:
+        sim_config_from_json(json.dumps(doc))
+    assert str(exc.value) == problem

@@ -1,13 +1,14 @@
-"""The exact-number reader: one grammar and one size limit for every
-rate, ratio and time read from outside, the same on every supported
-Python version."""
+"""The readers of outside values: the exact-number reader, one grammar
+and one size limit for every rate, ratio and time, the same on every
+supported Python version; and the JSON object reader, one rule and one
+wording for every field of every object in an input file."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from replikey.units import MAX_DIGITS, _exact
+from replikey.units import MAX_DIGITS, _exact, _expect, _load_json, _object
 
 _ASCII_SPACE = " \t\n\r\f\v"
 
@@ -105,3 +106,93 @@ def test_reader_table(value, expected):
         assert str(exc.value) == f"time_s: not an exact number: {value!r}"
     else:
         assert _exact("time_s", value) == expected
+
+
+# ---------------------------------------------------------------------------
+# the JSON object reader
+
+_OVERSIZE = f"an integer of {MAX_DIGITS} digits or more"
+
+
+@pytest.mark.parametrize(
+    "value, kind, shown",
+    [
+        (True, int, "True"),
+        (2.0, int, "2.0"),
+        ("4", int, "'4'"),
+        (None, int, "None"),
+        pytest.param(10 ** (MAX_DIGITS - 1), int, _OVERSIZE, id="oversize"),
+        pytest.param(-(10 ** (MAX_DIGITS - 1)), int, _OVERSIZE, id="negative-oversize"),
+        (1, bool, "1"),
+        ("false", bool, "'false'"),
+        (5, str, "5"),
+        ([1], dict, "[1]"),
+        ({"sdb": {}}, list, "{'sdb': {}}"),
+        ("x" * 100, list, "'" + "x" * 76 + "..."),
+        pytest.param(list(range(10**5)), dict, repr(list(range(30)))[:77] + "...", id="long"),
+    ],
+)
+def test_expect_refuses_with_one_wording(value, kind, shown):
+    what = {int: "an integer", bool: "true or false", str: "a string", dict: "an object"}
+    with pytest.raises(ValueError) as exc:
+        _expect("devices[0].x", value, kind)
+    assert str(exc.value) == f"devices[0].x: expected {what.get(kind, 'a list')}, got {shown}"
+    assert len(shown) <= 80
+
+
+@pytest.mark.parametrize(
+    "value, kind",
+    [
+        (0, int),
+        pytest.param(-(10 ** (MAX_DIGITS - 1)) + 1, int, id="longest"),
+        (False, bool),
+        ("", str),
+        ({}, dict),
+        ([], list),
+    ],
+)
+def test_expect_accepts(value, kind):
+    assert _expect("x", value, kind) is value
+
+
+@pytest.mark.parametrize(
+    "where, doc, problem",
+    [
+        ("", {"a": 1, "b": 2}, "unknown field 'b'"),
+        ("", {"a": 1, "Seeds": 3}, "unknown field 'Seeds'"),
+        ("", {}, "missing field 'a'"),
+        ("releases[0]", {"a": 1, "note": 1}, "releases[0]: unknown field 'note'"),
+        ("releases[0]", {"c": None}, "releases[0]: missing field 'a'"),
+        ("devices[1]", ["a"], "devices[1]: expected an object, got ['a']"),
+    ],
+)
+def test_object_refuses_with_its_path(where, doc, problem):
+    with pytest.raises(ValueError) as exc:
+        _object(where, doc, ("a",), ("c",))
+    assert str(exc.value) == problem
+
+
+def test_object_accepts_required_and_optional_fields():
+    doc = {"a": 1, "c": 2}
+    assert _object("x", doc, ("a",), ("c",)) is doc
+    assert _object("x", {"a": 1}, ("a",), ("c",)) == {"a": 1}
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_json_integer_limit_is_the_field_check(sign):
+    """A JSON integer of MAX_DIGITS digits or more reaches the field check
+    unread, so it is refused there naming its field; one digit fewer is
+    read as it is."""
+    below = sign + "9" * (MAX_DIGITS - 1)
+    assert _load_json(f'{{"n": {below}}}')["n"] == int(below)
+    for digits in (MAX_DIGITS, MAX_DIGITS + 1, 10 * MAX_DIGITS):
+        doc = _load_json(f'{{"n": [{sign}{"9" * digits}]}}')
+        with pytest.raises(ValueError) as exc:
+            _expect("n", doc["n"][0], int)
+        assert str(exc.value) == f"n: expected an integer, got {_OVERSIZE}"
+        for kind in (str, bool, dict, list):
+            with pytest.raises(ValueError):
+                _expect("n", doc["n"][0], kind)
+        with pytest.raises(ValueError) as exc:
+            _exact("time_s", doc["n"][0])
+        assert str(exc.value) == f"time_s: not an exact number: {_OVERSIZE}"
