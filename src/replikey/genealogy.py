@@ -414,71 +414,64 @@ def _event_line(ev: GenealogyEvent) -> str:
     )
 
 
-def _record_lines(g: Genealogy, line_cache: list) -> list[str]:
-    """The lines of ``g``, walked depth first with an explicit stack.
+def _render(records, line, newline: str):
+    """Yield each record as text pieces, each line put through ``line``
+    (``str``, or JSON escaping) and ended by ``newline``.  As in
+    hash-consing, each line (event, level) goes through ``line`` once
+    and each block (record, level) is walked once; a block written again
+    is joined once from its first writing, one written once never is."""
+    records = list(records)  # keeps every object alive, so ids stay unique
+    # per level: id(event) -> its piece; level 0 also holds headers' "p" lines
+    pieces: dict = {0: {}}
+    # (id(record), level) -> first writing as (pieces, start, end), then its text
+    blocks: dict = {}
+    for g in records:
+        out: list = []
+        if (header := g.provenance) is not None:
+            head = pieces[0].get(id(header)) or line(f"p {header.descriptor()}") + newline
+            out.append(pieces[0].setdefault(id(header), head))
+        # per open block: events left, level, pieces, key, start
+        stack = [(iter(g.events), 0, out, (id(g), 0), len(out))]
+        while stack:
+            events, level, block, key, start = stack[-1]
+            seen = pieces.setdefault(level, {})
+            for ev in events:
+                piece = seen.get(id(ev))
+                upgrade = isinstance(ev, UpgradeEvent)
+                if piece is None:
+                    indent = _INDENT * level
+                    text = _upgrade_line(ev, indent) if upgrade else indent + _event_line(ev)
+                    piece = seen[id(ev)] = line(text) + newline
+                block.append(piece)
+                if upgrade:
+                    found = blocks.get(donor := (id(ev.donor), level + 1))
+                    if found is None:
+                        stack.append((iter(ev.donor.events), level + 1, block, donor, len(block)))
+                        break
+                    if type(found) is tuple:  # written once before: join that writing
+                        first, begin, end = found
+                        found = blocks[donor] = "".join(first[begin:end])
+                    block.append(found)
+            else:
+                stack.pop()
+                blocks[key] = (block, start, len(block))
+        yield out
 
-    ``line_cache[level]`` maps ``id(event)`` to the event's line at that
-    nesting level, so an event shared by several donor blocks or records
-    is rendered once.  Ids are stable only while the events are alive:
-    the caller keeps every record of the batch referenced for as long
-    as the cache is in use.
-    """
-    lines: list[str] = []
-    append = lines.append
-    if g.provenance is not None:
-        append(f"p {g.provenance.descriptor()}")
-    stack = [iter(g.events)]
-    while stack:
-        level = len(stack) - 1
-        if level == len(line_cache):
-            line_cache.append({})
-        seen = line_cache[level]
-        indent = _INDENT * level
-        for ev in stack[-1]:
-            key = id(ev)
-            line = seen.get(key)
-            if isinstance(ev, UpgradeEvent):
-                if line is None:
-                    line = seen[key] = _upgrade_line(ev, indent)
-                append(line)
-                stack.append(iter(ev.donor.events))
-                break
-            if line is None:
-                line = seen[key] = indent + _event_line(ev)
-            append(line)
-        else:
-            stack.pop()
-    return lines
 
-
-def serialize(g: Genealogy, *, _line_cache: list | None = None) -> str:
+def serialize(g: Genealogy) -> str:
     """Canonical text for a genealogy; ``parse(serialize(g))`` equals ``g``.
 
     Requires every embedded donor record to carry a descriptor or at
     least one event (a completely empty donor has no written form the
-    parser accepts back).  ``_line_cache`` is the batch cache passed in
-    by ``serialize_many``.
+    parser accepts back).
     """
-    lines = _record_lines(g, [] if _line_cache is None else _line_cache)
-    if not lines:
-        return ""
-    lines.append("")  # the final newline, without copying the joined text
-    return "\n".join(lines)
+    return "".join(next(_render((g,), str, "\n")))
 
 
 def serialize_many(records) -> list[str]:
-    """``[serialize(g) for g in records]``, rendering each event object
-    once per nesting level for the whole batch.
-
-    Records that share history (clones of one parent, keys upgraded by
-    the same donors) share most of their lines: only distinct events are
-    formatted, and each repeat of a line costs a dictionary lookup.
-    """
-    records = list(records)  # keeps every event alive, so ids stay unique
-    line_cache: list = []
-    # each record still goes through serialize(), so anything that wraps
-    # or times serialize sees every record of the batch
-    return [serialize(g, _line_cache=line_cache) for g in records]
+    """``[serialize(g) for g in records]``, formatting each line and donor
+    block the records share (clones, common donors) once for the batch."""
+    return list(map("".join, _render(records, str, "\n")))
 
 
 # ---------------------------------------------------------------------------

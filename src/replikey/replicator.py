@@ -20,7 +20,8 @@ from fractions import Fraction
 from operator import itemgetter
 
 from . import genealogy as gen
-from .units import KIB, MB, _exact, _expect, _json_text, _load_json, _object, _parsed, _shown
+from .units import KIB, MB, _Escaped, _escape, _exact, _expect, _json_text, _load_json, _object
+from .units import _parsed, _shown
 
 __all__ = [
     "Bus",
@@ -639,10 +640,9 @@ def _key_from_json(where: str, doc) -> KeyState:
 def inventory_to_json(inventory) -> str:
     """Serialize an inventory as a deterministic JSON document."""
     devices = tuple(inventory)
-    # an upgraded key embeds its donor's log, so the keys share lines
-    genealogies = iter(
-        gen.serialize_many(d.contents.genealogy for d in devices if d.contents is not None)
-    )
+    # an upgraded key embeds its donor's log, so the keys share lines and blocks
+    records = [d.contents.genealogy for d in devices if d.contents is not None]
+    genealogies = map(_Escaped, gen._render(records, _escape, "\\n"))
     doc = {
         "devices": [
             {

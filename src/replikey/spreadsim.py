@@ -25,8 +25,8 @@ from functools import partial
 
 from . import genealogy as gen
 from . import replicator as rep
-from .units import KIB, MB, sig6
-from .units import _exact, _expect, _json_text, _load_json, _object, _parsed
+from .units import KIB, MB, _Escaped, _escape, _exact, _expect, _json_text, _load_json
+from .units import _object, _parsed, _shown, sig6
 
 __all__ = [
     "DEFAULT_CAPACITY_KIB",
@@ -56,6 +56,9 @@ _DEFAULT_VERSION = gen.ProvenanceHeader(
 DEFAULT_CAPACITY_KIB = 7_812_500  # an 8 GB key in 1 KiB blocks
 _IMAGE_BYTES = 2_700_000_000
 _SQUASHFS = "/live/filesystem.squashfs"
+# The most keys a tracked run holds, each built before the first round:
+# at this limit a room or one-release redeployment run fits in about 1 GB.
+_MAX_TRACKED_KEYS = 100_000
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,7 @@ class SimConfig:
     large parameter sweeps: no keys, logs or per-key lists are built, a
     run costs O(rounds + releases), every other field of the result is
     identical, and a clock past year 9999 is refused all the same.
+    A tracked run holds at most ``_MAX_TRACKED_KEYS`` (100,000) keys.
 
     An image larger than the key is refused here (CapacityExceeded):
     every simulated key has the same files, so one check covers every
@@ -109,6 +113,12 @@ class SimConfig:
         _expect("track_genealogies", self.track_genealogies, bool)
         if self.n_participants < 1:
             raise ValueError("n_participants must be >= 1")
+        if self.track_genealogies and self.n_participants > _MAX_TRACKED_KEYS:
+            raise ValueError(
+                f"n_participants: {_shown(self.n_participants)} keys exceed the "
+                f"{_MAX_TRACKED_KEYS} a tracked run holds; "
+                "set track_genealogies: false (--count-only)"
+            )
         if not 1 <= self.seeds <= self.n_participants:
             raise ValueError("seeds must satisfy 1 <= seeds <= n_participants")
         if self.ports_per_host < 1:
@@ -125,8 +135,8 @@ class SimConfig:
             raise ValueError("capacity_kib must be positive")
         if self.image_bytes > self.capacity_kib * KIB:
             raise rep.CapacityExceeded(
-                f"image_bytes: {self.image_bytes} bytes exceed capacity_kib "
-                f"{self.capacity_kib} ({self.capacity_kib * KIB} bytes)"
+                f"image_bytes: {_shown(self.image_bytes)} bytes exceed capacity_kib "
+                f"{_shown(self.capacity_kib)} ({_shown(self.capacity_kib * KIB)} bytes)"
             )
         for t, header in self.releases:
             if t < 0:
@@ -200,7 +210,7 @@ def _floor_time(config: SimConfig, elapsed: Fraction) -> datetime.datetime:
         return config.start_time + datetime.timedelta(seconds=int(elapsed))
     except OverflowError:
         raise ValueError(
-            f"simulated time {int(elapsed)} s after start_time is past year 9999"
+            f"simulated time {_shown(int(elapsed))} s after start_time is past year 9999"
         ) from None
 
 
@@ -356,9 +366,10 @@ def run_redeployment(config: SimConfig) -> SimResult:
     refusal = None
     if staging_peak > config.capacity_kib * KIB:
         refusal = rep.CapacityExceeded(
-            f"image_bytes: {config.image_bytes} bytes plus upgrade_ratio "
-            f"{config.upgrade_ratio} of them to stage an upgrade ({staging_peak} bytes) "
-            f"exceed capacity_kib {config.capacity_kib} ({config.capacity_kib * KIB} bytes)"
+            f"image_bytes: {_shown(config.image_bytes)} bytes plus upgrade_ratio "
+            f"{_shown(config.upgrade_ratio, str)} of them to stage an upgrade "
+            f"({_shown(staging_peak)} bytes) exceed capacity_kib {_shown(config.capacity_kib)} "
+            f"({_shown(config.capacity_kib * KIB)} bytes)"
         )
     keys = _seed_keys(config, n) if config.track_genealogies else []
     makespan, seeded, per_round_bytes, coverage = _round_loop(
@@ -458,7 +469,7 @@ def sim_result_to_json(result: SimResult) -> str:
     """Deterministic JSON rendering of a result; rationals are printed
     with six significant digits, genealogies in their text format."""
     key_ids = sorted(result.genealogies)
-    texts = gen.serialize_many(result.genealogies[key_id] for key_id in key_ids)
+    texts = gen._render([result.genealogies[key_id] for key_id in key_ids], _escape, "\\n")
     doc = {
         "n_participants": result.n_participants,
         "ports": result.ports,
@@ -470,6 +481,6 @@ def sim_result_to_json(result: SimResult) -> str:
         "per_round_seeded": list(result.per_round_seeded),
         "per_round_bytes": list(result.per_round_bytes),
         "version_coverage": dict(sorted(result.version_coverage.items())),
-        "genealogies": dict(zip(key_ids, texts)),
+        "genealogies": dict(zip(key_ids, map(_Escaped, texts))),
     }
     return _json_text(doc)

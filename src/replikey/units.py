@@ -53,12 +53,14 @@ _TOO_BIG = 10 ** (MAX_DIGITS - 1)  # the least integer of MAX_DIGITS digits
 _OVERSIZE = object()  # a JSON integer of MAX_DIGITS digits or more, which no field accepts
 
 
-def _shown(value) -> str:
-    """``value`` for a diagnostic: its repr cut to 80 characters, and an
-    integer too long for CPython to print described instead."""
+def _shown(value, form=repr) -> str:
+    """``value`` for a diagnostic: ``form(value)`` cut to 80 characters; a
+    longer integer by its digit count, even one too long for CPython to print."""
     if value is _OVERSIZE or isinstance(value, int) and not -_TOO_BIG < value < _TOO_BIG:
         return f"an integer of {MAX_DIGITS} digits or more"
-    text = repr(value)
+    text = form(value)
+    if len(text) > 80 and isinstance(value, int):
+        return f"a {len(text.lstrip('-'))}-digit integer"
     return text if len(text) <= 80 else text[:77] + "..."
 
 
@@ -116,7 +118,40 @@ def _load_json(text: str) -> dict:
     return doc
 
 
+class _Escaped(list):
+    """A JSON string's body as escaped pieces, which ``_json_text`` keeps."""
+
+
+def _escape(text: str) -> str:
+    """The body of ``text`` as a JSON string, escaped as ``json.dumps`` does."""
+    return json.encoder.encode_basestring_ascii(text)[1:-1]
+
+
 def _json_text(doc) -> str:
-    """The toolkit's JSON output form: indented, keys sorted, one
-    trailing newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` for string keys,
+    byte for byte, with ``_Escaped`` strings kept as they are: one join."""
+    out: list = []
+
+    def write(value, newline: str) -> None:  # newline: line break and indent of its level
+        if type(value) is int:  # the commonest value, without a json.dumps call
+            out.append(int.__repr__(value))
+        elif isinstance(value, _Escaped):
+            out.extend(('"', *value, '"'))
+        elif not value or not isinstance(value, (dict, list, tuple)):
+            out.append(json.dumps(value))
+        else:
+            inner = newline + "  "
+            is_dict = isinstance(value, dict)
+            separator = ("{" if is_dict else "[") + inner
+            for item in sorted(value.items()) if is_dict else value:
+                out.append(separator)
+                if is_dict:
+                    out.extend((json.encoder.encode_basestring_ascii(item[0]), ": "))
+                    item = item[1]
+                write(item, inner)
+                separator = "," + inner
+            out.extend((newline, "}" if is_dict else "]"))
+
+    write(doc, "\n")
+    out.append("\n")
+    return "".join(out)

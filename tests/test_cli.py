@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from replikey import integrity as integ
 from replikey import replicator as rep
 from replikey import spreadsim as sim
 from replikey.cli import dispatch, entry
-from replikey.units import MAX_DIGITS
+from replikey.units import KIB, MAX_DIGITS
 
 DATA = Path(__file__).parent / "data"
 SAMPLE = str(DATA / "sample_genealogy.txt")
@@ -544,6 +545,74 @@ def test_count_only_refuses_the_same_clock(capsys, tmp_path):
             f"error: {config}: simulated time 1000000000000000 s after start_time"
             " is past year 9999\n"
         )
+
+
+_LONG = 10**4000  # 4,001 digits: within the JSON integer limit, too long to print whole
+
+
+@pytest.mark.parametrize(
+    "argv, doc, field",
+    [
+        pytest.param(["sim-room", "--n", "4", "--image-gb", "1e4286"], None, "image_bytes",
+                     id="room-image-above-capacity"),
+        pytest.param(["sim-room", "--n", "4", "--bandwidth", "1e-4290"], None, "start_time",
+                     id="room-clock"),
+        pytest.param(None, {"bandwidth_mb_s": "1e-4290"}, "start_time", id="clock"),
+        pytest.param(
+            None,
+            {"image_bytes": _LONG, "capacity_kib": _LONG, "bandwidth_mb_s": "1e-4000"},
+            "start_time",
+            id="clock-of-long-sizes",
+        ),
+        pytest.param(None, {"image_bytes": 2 * _LONG, "capacity_kib": _LONG // KIB},
+                     "image_bytes", id="image-above-capacity"),
+        pytest.param(
+            None,
+            {
+                "image_bytes": 9 * 10**4298,
+                "capacity_kib": 10**4296,
+                "upgrade_ratio": "9" * 2000 + "/" + "1" + "0" * 2000,
+            },
+            "upgrade_ratio",
+            id="staging",
+        ),
+    ],
+)
+def test_whole_integers_in_diagnostics_stay_one_short_line(capsys, tmp_path, argv, doc, field):
+    """A refusal that shows sizes or a clock shows each integer at most 80
+    characters long, so its line stays short and keeps its wording."""
+    if argv is None:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"n_participants": 4, "releases": _GOOD_RELEASES, **doc}))
+        argv = ["sim-redeploy", "--config", str(config)]
+    for count_only in ([], ["--count-only"]) if argv[0] == "sim-room" else ([],):
+        code, out, err = run(capsys, *argv, *count_only)
+        assert (code, out) == (1, "")
+        message = err.removeprefix("error: ").removeprefix(f"{argv[-1]}: ")
+        assert message.endswith("\n") and "\n" not in message[:-1]
+        assert len(message) < 300
+        assert field in message
+
+
+def test_tracked_run_over_the_key_limit_is_refused_at_once(capsys, tmp_path):
+    """A tracked run of more keys than it can hold is refused before any
+    key is built; counting the same keys runs."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"n_participants": 10**4298, "releases": _GOOD_RELEASES}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sim-redeploy", "--config", str(config))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: {config}: n_participants: a 4299-digit integer keys exceed the"
+        f" {sim._MAX_TRACKED_KEYS} a tracked run holds; set track_genealogies: false"
+        " (--count-only)\n"
+    )
+    code, out, err = run(capsys, "sim-room", "--n", str(sim._MAX_TRACKED_KEYS + 1))
+    assert (code, out) == (1, "")
+    assert "n_participants" in err and "--count-only" in err
+    code, out, err = run(capsys, "sim-room", "--n", str(10**12), "--count-only")
+    assert (code, err) == (0, "")
 
 
 def test_sim_redeploy_bad_json_names_line(capsys, tmp_path):

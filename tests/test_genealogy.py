@@ -4,6 +4,7 @@ record operations, and lineage statistics."""
 import ast
 import dataclasses
 import datetime
+import json
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -33,6 +34,8 @@ from replikey.genealogy import (
     serialize_many,
     stats,
 )
+
+from replikey.units import _escape
 
 DATA = Path(__file__).parent / "data"
 UTC = datetime.timezone.utc
@@ -836,6 +839,20 @@ def test_serialize_5000_nested_upgrades():
         assert lines[-1].lstrip(" ").startswith("i 2013-02-17 13:01:38+00:00 - ")
 
 
+# a header label that JSON escapes: a non-ASCII letter, a quote and a tab
+_ESCAPED_HEADER = ProvenanceHeader(
+    'Démo "Live"\t1.0', datetime.date(2013, 5, 9), "fr_FR.UTF-8", "wheezy", "i386"
+)
+
+
+@given(_shared_histories())
+def test_escaped_render_is_json_of_serialize_property(records):
+    odd = Genealogy(_ESCAPED_HEADER, records[-1].events)
+    records = [*records, odd, record_upgrade(records[0], odd, birth("2013-05-10 09:00:00+02:00"))]
+    texts = ['"' + "".join(pieces) + '"' for pieces in gen._render(records, _escape, "\\n")]
+    assert texts == [json.dumps(serialize(g)) for g in records]
+
+
 # ---------------------------------------------------------------------------
 # reference copies of the recursive walks, one Python frame per level; the
 # iterative parse, stats and lint must agree with them exactly
@@ -1131,6 +1148,21 @@ def test_lint_5000_levels_builds_locations_only_for_messages():
     ]
     # a location string per level would take about 150 MB
     assert peak < 20 * 2**20
+
+
+def test_serialize_of_5000_nested_upgrades_copies_no_inner_text_per_level():
+    """An unshared chain of donors is written straight into one text:
+    rendering it takes no copy of the inner text per level."""
+    g = _nested(_DEEP, Genealogy(events=(birth("2013-02-17 13:01:38+00:00"),)))
+    tracemalloc.start()
+    try:
+        text = serialize(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) > _DEEP**2  # two spaces per level on each of the lines
+    # a copy of the inner text per level would take tens of gigabytes
+    assert peak < 3 * len(text)
 
 
 def test_no_genealogy_function_calls_itself():

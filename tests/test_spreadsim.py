@@ -357,6 +357,52 @@ def test_redeploy_deterministic():
     )
 
 
+def _release(k: int) -> tuple:
+    """Release k lands a day after release k - 1, built the day before."""
+    when = datetime.date(2013, 1, 1) + datetime.timedelta(days=k)
+    return Fraction(86_400 * k), replace(V1, label=f"Demo Live 1.{k + 1}", build_date=when)
+
+
+def _distinct_lines(records) -> int:
+    """The distinct (event, nesting level) pairs in ``records``, walking
+    each distinct (record, level) block once."""
+    blocks, pairs = set(), set()
+    todo = [(g, 0) for g in records]
+    while todo:
+        g, level = todo.pop()
+        if (id(g), level) not in blocks:
+            blocks.add((id(g), level))
+            pairs.update((id(ev), level) for ev in g.events)
+            todo += [(ev.donor, level + 1) for ev in g.events if isinstance(ev, gen.UpgradeEvent)]
+    return len(pairs)
+
+
+@pytest.mark.parametrize("releases", [9, 12])
+def test_result_json_formats_each_distinct_line_once(monkeypatch, releases):
+    """Writing a redeployment formats each event once per nesting level
+    it occurs at, however many logs repeat it."""
+    config = SimConfig(n_participants=64, releases=tuple(map(_release, range(releases))))
+    result = run_redeployment(config)
+    calls = []
+    for name in ("_event_line", "_upgrade_line"):
+        original = getattr(gen, name)
+        monkeypatch.setattr(gen, name, lambda *a, _f=original: calls.append(a) or _f(*a))
+    lines = sim_result_to_json(result).count("\\n")  # each log line ends in an escaped newline
+    assert len(calls) == _distinct_lines(result.genealogies.values())
+    assert len(calls) * 100 < lines
+
+
+def test_tracked_runs_hold_a_bounded_count_of_keys():
+    """A run that tracks genealogies builds every key, so its count is
+    bounded before any is built; a count-only run has no such bound."""
+    limit = sim._MAX_TRACKED_KEYS
+    assert SimConfig(n_participants=limit).n_participants == limit
+    for n in (limit + 1, 10**4298):
+        with pytest.raises(ValueError, match="^n_participants: .*track_genealogies: false"):
+            SimConfig(n_participants=n)
+        assert SimConfig(n_participants=n, track_genealogies=False).n_participants == n
+
+
 # ---------------------------------------------------------------------------
 # reference model: one list entry per key, as the simulators were first
 # written, against the shared round loop's prefix counts

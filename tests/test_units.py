@@ -1,14 +1,26 @@
 """The readers of outside values: the exact-number reader, one grammar
 and one size limit for every rate, ratio and time, the same on every
 supported Python version; and the JSON object reader, one rule and one
-wording for every field of every object in an input file."""
+wording for every field of every object in an input file.  Also the
+JSON writer, which writes what ``json.dumps`` writes."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from replikey.units import MAX_DIGITS, _exact, _expect, _load_json, _object
+from replikey.units import (
+    MAX_DIGITS,
+    _Escaped,
+    _escape,
+    _exact,
+    _expect,
+    _json_text,
+    _load_json,
+    _object,
+    _shown,
+)
 
 _ASCII_SPACE = " \t\n\r\f\v"
 
@@ -196,3 +208,54 @@ def test_json_integer_limit_is_the_field_check(sign):
         with pytest.raises(ValueError) as exc:
             _exact("time_s", doc["n"][0])
         assert str(exc.value) == f"time_s: not an exact number: {_OVERSIZE}"
+
+
+def test_shown_describes_a_long_integer_by_its_digits():
+    assert _shown(10**80) == "a 81-digit integer"
+    assert _shown(-(10**4000)) == "a 4001-digit integer"
+    assert _shown(10**79) == str(10**79)
+    assert _shown(10 ** (MAX_DIGITS - 1)) == _OVERSIZE
+    assert _shown(Fraction(1, 10**100), str) == "1/1" + "0" * 74 + "..."
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+
+# text with what JSON escapes: quotes, backslashes, control and non-ASCII
+# characters, and characters outside the Basic Multilingual Plane
+_text = st.text(st.characters() | st.sampled_from('"\\\t\x00\x7fé'))
+_scalar = (
+    _text
+    | st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10 ** (MAX_DIGITS - 1)) + 1, max_value=10 ** (MAX_DIGITS - 1) - 1)
+    | st.floats()
+    | st.sampled_from([-0.0, 1e300, float("inf"), float("-inf"), float("nan")])
+)
+_documents = st.recursive(
+    _scalar,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_text, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+def test_writer_is_json_dumps_byte_for_byte(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@given(st.dictionaries(_text, _text, max_size=4), st.lists(_text, max_size=4))
+def test_writer_inserts_escaped_strings_as_they_are(doc, pieces):
+    """An escaped string, in whatever pieces, is written as json.dumps
+    writes the string whole."""
+    escaped = {key: _Escaped(list(map(_escape, [value, *pieces]))) for key, value in doc.items()}
+    whole = {key: "".join([value, *pieces]) for key, value in doc.items()}
+    want = json.dumps({"x": [whole]}, indent=2, sort_keys=True) + "\n"
+    assert _json_text({"x": [escaped]}) == want
+
+
+def test_writer_refuses_what_json_cannot_hold():
+    with pytest.raises(TypeError):
+        _json_text({"x": {1, 2}})
