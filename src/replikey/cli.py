@@ -87,23 +87,17 @@ def _csv(rows) -> str:
     return "".join(",".join(str(cell) for cell in row) + "\n" for row in rows)
 
 
-def _arg_fraction(text: str) -> Fraction:
-    try:
-        return _exact("value", text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _arg(check, parse=str):
+    """An argparse type: a flag's text read by ``parse`` and passed by the
+    library's ``check``, whose ValueError becomes argparse's usage line."""
 
+    def convert(text: str):
+        try:
+            return check("value", parse(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-def _arg_timestamp(text: str) -> datetime.datetime:
-    try:
-        ts = datetime.datetime.fromisoformat(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bad timestamp {text!r}, expected YYYY-MM-DD HH:MM:SS+HH:MM"
-        )
-    if ts.tzinfo is None:
-        raise argparse.ArgumentTypeError("timestamp must carry a UTC offset")
-    return ts
+    return convert
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +204,7 @@ def _cmd_sim_room(args) -> str:
 
 
 def _cmd_sim_redeploy(args) -> str:
-    config = _load(args.config, sim.sim_config_from_json)
-    try:
-        result = sim.run_redeployment(config)
-    except (ValueError, rep.ReplicationError) as exc:
-        raise CliError(f"{args.config}: {exc}") from exc
+    result = _load(args.config, lambda text: sim.run_redeployment(sim.sim_config_from_json(text)))
     return _sim_output(result, args.format)
 
 
@@ -294,14 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--inventory", required=True, help="inventory JSON file")
         p.add_argument(
             "--bandwidth",
-            type=_arg_fraction,
+            type=_arg(_exact),
             default=Fraction("4.5"),
             help="write speed in decimal MB/s (default 4.5)",
         )
         p.add_argument("--mode", choices=("auto", "fresh", "upgrade"), default="auto")
         p.add_argument(
             "--ratio",
-            type=_arg_fraction,
+            type=_arg(_exact),
             default=rep.DEFAULT_UPGRADE_RATIO,
             help="fraction of the image rewritten by an upgrade (default 4/5)",
         )
@@ -314,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     clone_flags(p)
     p.add_argument(
         "--at",
-        type=_arg_timestamp,
+        type=_arg(gen._timestamp, datetime.datetime.fromisoformat),
         required=True,
         help="completion timestamp, e.g. '2013-02-17 13:01:38+00:00'",
     )
@@ -323,9 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="participants")
     p.add_argument("--seeds", type=int, default=1)
     p.add_argument("--ports", type=int, default=1)
-    p.add_argument("--image-gb", type=_arg_fraction, default=Fraction("2.7"))
-    p.add_argument("--bandwidth", type=_arg_fraction, default=Fraction("4.5"))
-    p.add_argument("--setup-s", type=_arg_fraction, default=Fraction(300))
+    p.add_argument("--image-gb", type=_arg(_exact), default=Fraction("2.7"))
+    p.add_argument("--bandwidth", type=_arg(_exact), default=Fraction("4.5"))
+    p.add_argument("--setup-s", type=_arg(_exact), default=Fraction(300))
     p.add_argument(
         "--count-only",
         action="store_true",

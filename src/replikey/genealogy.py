@@ -31,6 +31,8 @@ import re
 import warnings
 from dataclasses import dataclass, replace
 
+from .units import _shown
+
 __all__ = [
     "EventKind",
     "ProvenanceHeader",
@@ -79,20 +81,32 @@ class EventKind(enum.Enum):
 
 
 def _check_field(name: str, value: str, allow_space: bool = False) -> None:
-    if not value:
-        raise ValueError(f"{name} must be non-empty")
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{name} must be a non-empty string: {_shown(value)}")
     if value != value.strip():
-        raise ValueError(f"{name} must not have surrounding whitespace: {value!r}")
+        raise ValueError(f"{name} must not have surrounding whitespace: {_shown(value)}")
     if "\n" in value or "\r" in value:
-        raise ValueError(f"{name} must be a single line: {value!r}")
+        raise ValueError(f"{name} must be a single line: {_shown(value)}")
     if _SEP_IN_TEXT_RE.search(value):
-        raise ValueError(f"{name} must not contain the field separator ' - ': {value!r}")
+        raise ValueError(f"{name} must not contain the field separator ' - ': {_shown(value)}")
     if value.startswith("-") or value.endswith("-"):
         # a leading or trailing dash would fuse with the ' - ' separators
         # around the field and change how the line splits back
-        raise ValueError(f"{name} must not start or end with '-': {value!r}")
+        raise ValueError(f"{name} must not start or end with '-': {_shown(value)}")
     if not allow_space and len(value.split()) > 1:
-        raise ValueError(f"{name} must be a single token: {value!r}")
+        raise ValueError(f"{name} must be a single token: {_shown(value)}")
+
+
+def _timestamp(name: str, value) -> datetime.datetime:
+    """``value`` if it is a time a log line can hold: an offset-aware
+    datetime in whole seconds at a whole-minute UTC offset, the only
+    kind its text form writes.  Else a ValueError naming ``name``."""
+    offset = value.utcoffset() if isinstance(value, datetime.datetime) else None
+    if offset is None or value.microsecond or offset.seconds % 60 or offset.microseconds:
+        shown = _shown(value, str if isinstance(value, datetime.datetime) else repr)
+        what = "an offset-aware time in whole seconds at a whole-minute UTC offset"
+        raise ValueError(f"{name}: expected {what}, got {shown}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -163,19 +177,12 @@ class GenealogyEvent:
     def __post_init__(self):
         if not isinstance(self.kind, EventKind):
             raise ValueError(f"kind must be an EventKind, got {self.kind!r}")
-        ts = self.timestamp
-        if not isinstance(ts, datetime.datetime) or ts.tzinfo is None:
-            raise ValueError("timestamp must be an offset-aware datetime")
-        if ts.microsecond != 0:
-            raise ValueError("timestamp resolution is one second")
-        offset = ts.utcoffset()
-        if offset is None or offset.seconds % 60 != 0 or offset.microseconds:
-            raise ValueError("UTC offset must be whole minutes")
+        _timestamp("timestamp", self.timestamp)
         _check_field("locale", self.locale)
         if self.capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {self.capacity}")
+            raise ValueError(f"capacity must be positive, got {_shown(self.capacity)}")
         if self.batch_count < 1:
-            raise ValueError(f"batch_count must be >= 1, got {self.batch_count}")
+            raise ValueError(f"batch_count must be >= 1, got {_shown(self.batch_count)}")
 
 
 @dataclass(frozen=True)
@@ -478,37 +485,36 @@ def serialize_many(records) -> list[str]:
 # record operations
 
 
+def _append(g: Genealogy, name: str, ev, kind: EventKind, *before) -> Genealogy:
+    """``g`` extended by ``before`` and then ``ev``, which must be a
+    ``kind`` event, else a ValueError naming it ``name``."""
+    if not isinstance(ev, GenealogyEvent) or ev.kind is not kind:
+        raise ValueError(f"{name} must be a {kind.name.title()} event, got {_shown(ev)}")
+    if not isinstance(g, Genealogy):
+        raise ValueError(f"expected a Genealogy to extend, got {_shown(g)}")
+    return Genealogy(g.provenance, g.events + (*before, ev))
+
+
 def record_birth(g: Genealogy, ev: GenealogyEvent) -> Genealogy:
     """Append a birth event; returns the extended record."""
-    if ev.kind is not EventKind.BIRTH:
-        raise ValueError("record_birth requires a Birth event")
-    return Genealogy(g.provenance, g.events + (ev,))
+    return _append(g, "event", ev, EventKind.BIRTH)
 
 
 def record_spawn(g: Genealogy, ev: GenealogyEvent) -> Genealogy:
     """Append a spawn event; returns the extended record."""
-    if ev.kind is not EventKind.SPAWN:
-        raise ValueError("record_spawn requires a Spawn event")
-    return Genealogy(g.provenance, g.events + (ev,))
+    return _append(g, "event", ev, EventKind.SPAWN)
 
 
-def record_upgrade(
-    host: Genealogy, donor: Genealogy, rebirth: GenealogyEvent
-) -> Genealogy:
+def record_upgrade(host: Genealogy, donor: Genealogy, rebirth: GenealogyEvent) -> Genealogy:
     """Record that ``donor`` installed its system over the host: the donor's
     genealogy is embedded as-is, followed by the host's rebirth."""
-    if rebirth.kind is not EventKind.BIRTH:
-        raise ValueError("rebirth must be a Birth event")
-    upgrade = UpgradeEvent(donor=donor)
-    return Genealogy(host.provenance, host.events + (upgrade, rebirth))
+    return _append(host, "rebirth", rebirth, EventKind.BIRTH, UpgradeEvent(donor=donor))
 
 
 def child_genealogy(parent: Genealogy, birth: GenealogyEvent) -> Genealogy:
     """The record a fresh clone starts with: the parent's full history
     plus the clone's own birth.  The parent record is not touched."""
-    if birth.kind is not EventKind.BIRTH:
-        raise ValueError("child birth must be a Birth event")
-    return Genealogy(parent.provenance, parent.events + (birth,))
+    return _append(parent, "birth", birth, EventKind.BIRTH)
 
 
 # ---------------------------------------------------------------------------

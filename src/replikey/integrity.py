@@ -28,15 +28,7 @@ from dataclasses import dataclass, replace
 
 from . import genealogy as gen
 from .replicator import FileClass, FileEntry, KeyState, apply_transfer
-from .spreadsim import (
-    DEFAULT_CAPACITY_KIB,
-    _DEFAULT_VERSION,
-    _EPOCH,
-    _IMAGE_BYTES,
-    _SQUASHFS,
-    _key_ids,
-    _manifest,
-)
+from .spreadsim import _DEFAULT_VERSION, _EPOCH, _SQUASHFS, _key_ids, _new_key
 from .units import _expect, _json_text
 
 __all__ = [
@@ -491,15 +483,8 @@ def run_trust_sim(config: TrustSimConfig) -> TrustSimResult:
     rng = random.Random(config.rng_seed)
     ids = _key_ids(config.population)
     pool = sorted(ids)
-    fake = tamper(
-        KeyState.from_manifest(
-            _manifest(_TAMPERED_VERSION, _IMAGE_BYTES), DEFAULT_CAPACITY_KIB, _EPOCH
-        ),
-        TamperAction(TamperKind.MODIFY_FILE, _SQUASHFS),
-    )
-    clean = KeyState.from_manifest(
-        _manifest(_DEFAULT_VERSION, _IMAGE_BYTES), DEFAULT_CAPACITY_KIB, _EPOCH
-    )
+    fake = tamper(_new_key(_TAMPERED_VERSION), TamperAction(TamperKind.MODIFY_FILE, _SQUASHFS))
+    clean = _new_key(_DEFAULT_VERSION)
     keys = {key_id: copy.copy(fake) for key_id in ids[: config.tampered_initial]}
 
     def key(key_id: str) -> KeyState:

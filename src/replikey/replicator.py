@@ -121,6 +121,11 @@ class FileEntry:
             raise ValueError(f"file_class must be a FileClass, got {self.file_class!r}")
 
 
+def _check_share_prefix(prefix) -> None:
+    if not isinstance(prefix, str) or not prefix.endswith("/"):
+        raise ValueError(f"share_prefix must end with '/': {_shown(prefix)}")
+
+
 @dataclass(frozen=True)
 class ImageManifest:
     """Recipe for a built key image: which paths make up the system, where
@@ -139,8 +144,7 @@ class ImageManifest:
             raise ValueError("whitelist must be non-empty")
         if self.image_bytes <= 0:
             raise ValueError("image_bytes must be positive")
-        if not self.share_prefix.endswith("/"):
-            raise ValueError("share_prefix must end with '/'")
+        _check_share_prefix(self.share_prefix)
         for path in self.whitelist:
             if path.startswith(self.share_prefix):
                 raise ValueError(
@@ -171,8 +175,12 @@ class KeyState:
     def __post_init__(self):
         items = self.files.items() if isinstance(self.files, dict) else self.files
         object.__setattr__(self, "files", tuple(sorted(items, key=itemgetter(0))))
+        _expect("version", self.version, gen.ProvenanceHeader)
         if self.locale is None:
             object.__setattr__(self, "locale", self.version.locale)
+        elif self.locale != self.version.locale:  # the header checked its own
+            gen._check_field("locale", self.locale)
+        _check_share_prefix(self.share_prefix)
         if self.capacity_kib <= 0:
             raise ValueError("capacity_kib must be positive")
         if self.image_bytes <= 0:
@@ -192,8 +200,8 @@ class KeyState:
                 )
         if total > self.capacity_kib * KIB:
             raise CapacityExceeded(
-                f"files total {total} bytes exceed capacity "
-                f"{self.capacity_kib * KIB} bytes"
+                f"files total {_shown(total)} bytes exceed capacity "
+                f"{_shown(self.capacity_kib * KIB)} bytes"
             )
         if self.boot_path not in seen:
             raise ValueError(f"boot_path {self.boot_path!r} is not a file on the key")
@@ -277,7 +285,7 @@ class VirtualDevice:
             if self.contents.capacity_kib != self.capacity_kib:
                 raise ValueError(
                     "key capacity does not match its device "
-                    f"({self.contents.capacity_kib} != {self.capacity_kib})"
+                    f"({_shown(self.contents.capacity_kib)} != {_shown(self.capacity_kib)})"
                 )
 
 
@@ -417,20 +425,17 @@ def _check_transfer(
 
     capacity = target.capacity_kib * KIB
     staging_peak = (0 if tgt_key is None else tgt_key.used_bytes()) + incoming
-    if staging_peak > capacity:
-        raise CapacityExceeded(
-            f"clone needs {staging_peak} bytes, target holds {capacity}"
-            if mode is CloneMode.FRESH
-            else f"upgrade staging needs {staging_peak} bytes on a {capacity}-byte key"
-        )
     final_files = _upgraded_files(src_key, () if tgt_key is None else tgt_key.files)
     final_bytes = sum(e.size_bytes for e in final_files.values())
-    if final_bytes > capacity:
-        raise CapacityExceeded(
-            f"clone needs {final_bytes} bytes, target holds {capacity}"
-            if mode is CloneMode.FRESH
-            else f"upgraded key would hold {final_bytes} bytes on a {capacity}-byte key"
-        )
+    checks = ((staging_peak, "upgrade staging needs"), (final_bytes, "upgraded key would hold"))
+    for need, upgrade in checks:
+        if need > capacity:
+            need, held = _shown(need), _shown(capacity)
+            raise CapacityExceeded(
+                f"clone needs {need} bytes, target holds {held}"
+                if mode is CloneMode.FRESH
+                else f"{upgrade} {need} bytes on a key of {held} bytes"
+            )
 
 
 def plan_clone(

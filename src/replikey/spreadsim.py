@@ -59,6 +59,7 @@ _SQUASHFS = "/live/filesystem.squashfs"
 # The most keys a tracked run holds, each built before the first round:
 # at this limit a room or one-release redeployment run fits in about 1 GB.
 _MAX_TRACKED_KEYS = 100_000
+_HEADER = gen.ProvenanceHeader
 
 
 @dataclass(frozen=True)
@@ -102,9 +103,11 @@ class SimConfig:
         if self.horizon_s is not None:
             object.__setattr__(self, "horizon_s", _exact("horizon_s", self.horizon_s))
         releases = tuple(
-            (_exact(f"releases[{i}].time_s", t), header)
-            for i, (t, header) in enumerate(self.releases)
+            (_exact(f"releases[{i}].time_s", t), _expect(f"releases[{i}].version", v, _HEADER))
+            for i, (t, v) in enumerate(self.releases)
         )
+        _expect("base_version", self.base_version, _HEADER)
+        gen._timestamp("start_time", self.start_time)
         object.__setattr__(
             self, "releases", tuple(sorted(releases, key=lambda r: r[0]))
         )
@@ -129,8 +132,6 @@ class SimConfig:
             raise ValueError("setup_delay_s must be >= 0")
         if self.horizon_s is not None and self.horizon_s < 0:
             raise ValueError("horizon_s must be >= 0")
-        if self.start_time.tzinfo is None:
-            raise ValueError("start_time must be timezone-aware")
         if self.capacity_kib <= 0:
             raise ValueError("capacity_kib must be positive")
         if self.image_bytes > self.capacity_kib * KIB:
@@ -138,11 +139,9 @@ class SimConfig:
                 f"image_bytes: {_shown(self.image_bytes)} bytes exceed capacity_kib "
                 f"{_shown(self.capacity_kib)} ({_shown(self.capacity_kib * KIB)} bytes)"
             )
-        for t, header in self.releases:
+        for t, _ in self.releases:
             if t < 0:
                 raise ValueError("release times must be >= 0")
-            if not isinstance(header, gen.ProvenanceHeader):
-                raise ValueError("release version must be a ProvenanceHeader")
 
 
 @dataclass(frozen=True)
@@ -205,6 +204,13 @@ def _manifest(version: gen.ProvenanceHeader, image_bytes: int) -> rep.ImageManif
     )
 
 
+def _new_key(
+    version, born_at=_EPOCH, image_bytes=_IMAGE_BYTES, capacity=DEFAULT_CAPACITY_KIB, locale=None
+) -> rep.KeyState:
+    """A simulated key freshly written from an image of ``version``."""
+    return rep.KeyState.from_manifest(_manifest(version, image_bytes), capacity, born_at, locale)
+
+
 def _floor_time(config: SimConfig, elapsed: Fraction) -> datetime.datetime:
     try:
         return config.start_time + datetime.timedelta(seconds=int(elapsed))
@@ -215,11 +221,9 @@ def _floor_time(config: SimConfig, elapsed: Fraction) -> datetime.datetime:
 
 
 def _seed_keys(config: SimConfig, count: int) -> list:
-    manifest = _manifest(config.base_version, config.image_bytes)
-    return [
-        rep.KeyState.from_manifest(manifest, config.capacity_kib, config.start_time)
-        for _ in range(count)
-    ]
+    """``count`` equal keys of the base version, as one shared snapshot."""
+    key = _new_key(config.base_version, config.start_time, config.image_bytes, config.capacity_kib)
+    return [key] * count
 
 
 def _genealogies(keys: list) -> dict:
@@ -235,9 +239,7 @@ def _land(
     log a birth and a spawn of the maintainer's key in the donor."""
     donor = gen.Genealogy(provenance=header)
     rebirth = gen.GenealogyEvent(gen.EventKind.BIRTH, now, master.locale, master.capacity_kib, 1)
-    rebuilt = rep.KeyState.from_manifest(
-        _manifest(header, config.image_bytes), master.capacity_kib, now, locale=master.locale
-    )
+    rebuilt = _new_key(header, now, config.image_bytes, master.capacity_kib, master.locale)
     return replace(rebuilt, genealogy=gen.record_upgrade(master.genealogy, donor, rebirth))
 
 

@@ -71,7 +71,8 @@ def _expect(name: str, value, kind: type):
     if kind is int:
         ok = ok and type(value) is not bool and -_TOO_BIG < value < _TOO_BIG
     if not ok:
-        raise ValueError(f"{name}: expected {_WHAT[kind]}, got {_shown(value)}")
+        what = _WHAT.get(kind) or f"a {kind.__name__}"
+        raise ValueError(f"{name}: expected {what}, got {_shown(value)}")
     return value
 
 

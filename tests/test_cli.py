@@ -1145,3 +1145,98 @@ def test_fuzzed_manifest_exits_cleanly(tmp_path_factory, data):
     reference.write_bytes(data)
     argv = ["verify", "--inventory", str(inventory), "--reference", str(reference)]
     _assert_one_diagnostic(*_dispatch_quietly(argv))
+
+
+# ---------------------------------------------------------------------------
+# the genealogy rules at every entry: --at, a config's start_time, a key's locale
+
+
+@pytest.mark.parametrize("at", ["2013-02-17 13:11:38.5+00:00", "2013-02-17 13:11:38+00:00:30"])
+def test_at_outside_the_timestamp_rule_is_a_usage_error(capsys, inventory_file, tmp_path, at):
+    out = tmp_path / "out.json"
+    code, stdout, err = run(
+        capsys, "clone-exec", "--inventory", inventory_file, "--at", at, "-o", str(out)
+    )
+    assert (code, stdout) == (2, "")
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].count("--at") == 1
+    assert "whole seconds at a whole-minute UTC offset" in errors[0]
+    assert not out.exists()
+
+
+def test_at_in_t_form_is_accepted(capsys, inventory_file):
+    code, out, err = run(
+        capsys, "clone-exec", "--inventory", inventory_file, "--at", "2013-02-17T13:11:38+00:00"
+    )
+    assert (code, err) == (0, "")
+    assert "2013-02-17 13:11:38+00:00" in json.loads(out)["devices"][1]["key"]["genealogy"]
+
+
+@pytest.mark.parametrize("start", ["2013-01-01 00:00:00.5+00:00", "2013-01-01 00:00:00+00:00:30"])
+@pytest.mark.parametrize("tracked", [True, False])
+def test_start_time_outside_the_timestamp_rule_fails_in_both_modes(
+    capsys, tmp_path, start, tracked
+):
+    config = tmp_path / "c.json"
+    doc = {"n_participants": 4, "releases": _GOOD_RELEASES, "start_time": start}
+    config.write_text(json.dumps({**doc, "track_genealogies": tracked}))
+    code, out, err = run(capsys, "sim-redeploy", "--config", str(config))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {config}: start_time: ") and err.count("\n") == 1
+
+
+_LOCALES = st.text(st.sampled_from(["a", "Z", "_", ".", "8", "-", " ", "\n", "\r", "\t", "é"]),
+                   max_size=6) | st.sampled_from(
+    ["", " - ", "-x", "x-", "en US", "x - y", "a\nb", "fr_FR.UTF-8", "ü", " ", "x y"]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_LOCALES)
+def test_a_key_locale_is_refused_on_reading_or_logged(tmp_path_factory, locale):
+    """A key's locale the log cannot hold is refused when the inventory is
+    read, naming it; any other is one clone-exec writes into the log."""
+    text = json.dumps(_with(locale, "key", "locale"))
+    path = tmp_path_factory.mktemp("locale") / "inventory.json"
+    path.write_text(text)
+    plan_code, plan_err = _dispatch_quietly(["clone-plan", "--inventory", str(path)])
+    exec_argv = ["clone-exec", "--inventory", str(path), "--at", "2013-02-17 13:11:38+00:00"]
+    exec_code, exec_err = _dispatch_quietly(exec_argv)
+    try:
+        rep.inventory_from_json(text)
+    except ValueError as exc:
+        assert "locale" in str(exc)
+        assert (plan_code, exec_code) == (1, 1)
+        assert plan_err == exec_err == f"error: {path}: {exc}\n"
+    else:
+        assert (plan_code, exec_code, exec_err) == (0, 0, "")
+
+
+def test_share_prefix_without_a_slash_is_refused(capsys, tmp_path):
+    path = tmp_path / "inventory.json"
+    path.write_text(json.dumps(_with("share", "key", "share_prefix")))
+    code, out, err = run(capsys, "manifest", "--inventory", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: share_prefix must end with '/': 'share'\n"
+
+
+def test_long_integers_in_capacity_texts_stay_one_short_line(capsys, tmp_path):
+    """The files-over-capacity text of a key shows long integers by their
+    length."""
+    doc = _with({"/live/filesystem.squashfs": {"size": 10**4298, "class": "system"},
+                 "/b": {"size": 10**4298, "class": "personal"}}, "key", "files")
+    doc["devices"][0]["key"]["capacity_kib"] = doc["devices"][0]["capacity_kib"] = 10**4295
+    path = tmp_path / "inventory.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "manifest", "--inventory", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: files total a 4299-digit integer bytes exceed capacity")
+    assert err.count("\n") == 1 and len(err) < 300
+
+
+def test_long_capacity_in_a_log_line_stays_one_short_line(capsys, tmp_path):
+    path = tmp_path / "log.txt"
+    path.write_text(f"i 2013-02-17 13:01:38+00:00 - fr_FR.UTF-8 - -{'9' * 4000} - 1\n")
+    code, out, err = run(capsys, "genealogy-stats", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: line 1: capacity must be positive, got a 4000-digit integer\n"

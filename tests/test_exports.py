@@ -3,6 +3,8 @@ functions README.md names, and the standard library as its only
 dependency."""
 
 import ast
+import importlib
+import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -42,3 +44,31 @@ def test_package_imports_only_the_standard_library():
     assert imported
     top_level = {name.split(".")[0] for name in imported}
     assert sorted(top_level - sys.stdlib_module_names) == []
+
+
+def test_benchmark_spans_wrap_functions_that_exist():
+    """Every (module, name) the benchmark's tracer wraps is a function of
+    replikey, so a change that removes or renames one fails here."""
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tables = (spans.SPANNED, spans.COUNTED)
+    wrapped = [(m, n) for table in tables for m, names in table.items() for n in names]
+    assert wrapped
+    missing = [
+        (m, n)
+        for m, n in wrapped
+        if not callable(getattr(importlib.import_module(f"replikey.{m}"), n, None))
+    ]
+    assert missing == []
+
+
+def test_the_timestamp_rule_is_defined_once():
+    """Only genealogy.py looks at a time's offset or sub-second part."""
+    looking = sorted(
+        path.name
+        for path in (ROOT / "src" / "replikey").glob("*.py")
+        if path.name != "genealogy.py"
+        and re.search(r"\.(tzinfo|utcoffset|microsecond)\b", path.read_text(encoding="utf-8"))
+    )
+    assert looking == []

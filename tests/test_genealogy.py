@@ -582,6 +582,80 @@ def test_event_rejects_bad_counts():
         birth("2013-02-17 13:01:38+00:00", batch=0)
 
 
+_RULE = "expected an offset-aware time in whole seconds at a whole-minute UTC offset"
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        (datetime.datetime(2013, 2, 17, 13, 1, 38), "2013-02-17 13:01:38"),
+        (
+            datetime.datetime(2013, 2, 17, 13, 1, 38, 500, tzinfo=UTC),
+            "2013-02-17 13:01:38.000500+00:00",
+        ),
+        (ts("2013-02-17 13:01:38+00:00:30"), "2013-02-17 13:01:38+00:00:30"),
+        (
+            datetime.datetime(
+                2013, 2, 17, 13, 1, 38,
+                tzinfo=datetime.timezone(datetime.timedelta(microseconds=500)),
+            ),
+            "2013-02-17 13:01:38+00:00:00.000500",
+        ),
+        ("2013-02-17 13:01:38+00:00", "'2013-02-17 13:01:38+00:00'"),
+        (datetime.date(2013, 2, 17), "datetime.date(2013, 2, 17)"),
+    ],
+)
+def test_timestamp_rule_names_the_field_and_the_value(value, shown):
+    with pytest.raises(ValueError) as exc:
+        GenealogyEvent(EventKind.BIRTH, value, "fr_FR.UTF-8", 4023296)
+    assert str(exc.value) == f"timestamp: {_RULE}, got {shown}"
+    with pytest.raises(ValueError, match=f"^start_time: {_RULE}"):
+        gen._timestamp("start_time", value)
+
+
+def test_timestamp_rule_accepts_any_whole_minute_offset():
+    for offset in ("-05:30", "+13:45", "-23:59"):
+        text = f"2013-02-17 13:01:38{offset}"
+        assert gen._timestamp("timestamp", ts(text)) == ts(text)
+        assert birth(text).timestamp.isoformat(" ") == text
+
+
+@pytest.mark.parametrize(
+    "event", ["i", None, 5, UpgradeEvent(Genealogy(events=(birth("2013-02-17 13:01:38+00:00"),)))]
+)
+def test_record_operations_refuse_a_non_event(event):
+    g = Genealogy(events=(birth("2013-02-17 13:01:38+00:00"),))
+    for name, call in [
+        ("event", lambda: record_birth(g, event)),
+        ("event", lambda: record_spawn(g, event)),
+        ("birth", lambda: child_genealogy(g, event)),
+        ("rebirth", lambda: record_upgrade(g, g, event)),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} must be a (Birth|Spawn) event, got "):
+            call()
+
+
+def test_record_operations_refuse_a_non_genealogy():
+    with pytest.raises(ValueError, match="^expected a Genealogy to extend, got 'x'$"):
+        record_birth("x", birth("2013-02-17 13:01:38+00:00"))
+    with pytest.raises(ValueError, match="^donor must be a Genealogy$"):
+        record_upgrade(Genealogy(), "x", birth("2013-02-17 13:01:38+00:00"))
+
+
+@pytest.mark.parametrize("field", ["capacity", "batch_count"])
+def test_long_integers_in_event_texts_stay_one_short_line(field):
+    """An event line whose capacity or batch is a long negative number is
+    refused by a short message naming the field."""
+    long = "-" + "9" * 4000
+    fields = {"capacity": "4023296", "batch_count": "1", field: long}
+    text = "i 2013-02-17 13:01:38+00:00 - fr_FR.UTF-8 - {capacity} - {batch_count}\n"
+    with pytest.raises(GenealogyParseError) as exc:
+        parse(text.format(**fields))
+    assert str(exc.value).startswith(f"line 1: {field} must be ")
+    assert str(exc.value).endswith("got a 4000-digit integer")
+    assert len(str(exc.value)) < 300
+
+
 def test_header_descriptor_round_trip():
     head = ProvenanceHeader(
         "Sage 5.9 Debian wheezy Live 3.0.5-1",

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from replikey import genealogy as gen
+from replikey import replicator as rep
 from replikey.replicator import (
     Bus,
     CapacityExceeded,
@@ -469,6 +470,68 @@ def test_device_bus_must_be_a_bus():
     the third key instead of refusing."""
     with pytest.raises(ValueError, match=r"^bus must be a Bus, got 'usb'$"):
         VirtualDevice("blank0", "usb", 7_812_500)
+
+
+@pytest.mark.parametrize("locale", [None, "fr_FR.UTF-8"])
+def test_keystate_version_must_be_a_header(locale):
+    with pytest.raises(ValueError, match=r"^version: expected a ProvenanceHeader, got 'x'$"):
+        dataclasses.replace(master(), version="x", locale=locale)
+
+
+@pytest.mark.parametrize("locale", ["", "en US", "x - y", "-x", "x-", "a\nb", " x", 5])
+def test_keystate_locale_follows_the_log_rule(locale):
+    """A key refuses a locale its log would refuse, in the log's words."""
+    with pytest.raises(ValueError) as logged:
+        gen.GenealogyEvent(gen.EventKind.SPAWN, T0, locale, 7_812_500)
+    with pytest.raises(ValueError) as kept:
+        dataclasses.replace(master(), locale=locale)
+    assert str(kept.value) == str(logged.value)
+    assert str(kept.value).startswith("locale must ")
+
+
+@pytest.mark.parametrize("prefix", ["share", "", "/share", 5])
+def test_share_prefix_must_end_with_a_slash(prefix):
+    """A key and an image refuse the same share prefixes, by one rule."""
+    problem = f"^share_prefix must end with '/': {prefix!r}$"
+    with pytest.raises(ValueError, match=problem):
+        dataclasses.replace(master(), share_prefix=prefix)
+    with pytest.raises(ValueError, match=problem):
+        ImageManifest(VERSION, frozenset({"/live/vmlinuz"}), 1, share_prefix=prefix)
+
+
+_LONG = 10**4000  # 4,001 digits, shown by its length
+_ON_8GB = "a 4001-digit integer bytes{} 8000000000"
+
+
+@pytest.mark.parametrize(
+    "mode, incoming, huge_share, text",
+    [
+        (CloneMode.FRESH, _LONG, False, "clone needs " + _ON_8GB.format(", target holds")),
+        (CloneMode.FRESH, 0, True, "clone needs " + _ON_8GB.format(", target holds")),
+        (CloneMode.UPGRADE, _LONG, False,
+         "upgrade staging needs " + _ON_8GB.format(" on a key of") + " bytes"),
+        (CloneMode.UPGRADE, 0, True,
+         "upgraded key would hold " + _ON_8GB.format(" on a key of") + " bytes"),
+    ],
+)
+def test_long_integers_in_transfer_refusals_stay_short(mode, incoming, huge_share, text):
+    """Each capacity refusal of a transfer, at the staging peak or for
+    the final files, shows a long integer by its length."""
+    source = master(capacity_kib=_LONG)
+    if huge_share:
+        source = source.with_file("/share/big", FileEntry(_LONG, FileClass.SHARE, "big"))
+    target = usb("key1", master()) if mode is CloneMode.UPGRADE else usb("blank0")
+    with pytest.raises(CapacityExceeded) as exc:
+        rep._check_transfer(mode, usb("key0", source, boot=True), target, incoming, False)
+    assert str(exc.value) == text
+
+
+def test_long_integers_in_capacity_mismatch_stay_short():
+    with pytest.raises(ValueError) as exc:
+        VirtualDevice("key0", Bus.USB, 7_812_500, contents=master(capacity_kib=_LONG))
+    assert str(exc.value) == (
+        "key capacity does not match its device (a 4001-digit integer != 7812500)"
+    )
 
 
 def test_key_files_compare_alike_from_a_dict_or_pairs():

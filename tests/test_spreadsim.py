@@ -265,6 +265,58 @@ def test_config_validation():
         SimConfig(n_participants=2, start_time=datetime.datetime(2013, 1, 1))
 
 
+@pytest.mark.parametrize(
+    "kwargs, problem",
+    [
+        ({"start_time": "x"}, "start_time: expected an offset-aware time"),
+        ({"base_version": "x"}, "base_version: expected a ProvenanceHeader, got 'x'"),
+        ({"releases": ((0, V1), (5, "x"))}, "releases[1].version: expected a ProvenanceHeader"),
+    ],
+)
+def test_config_refuses_what_a_log_cannot_hold_at_once(kwargs, problem):
+    """A start time or header the keys' logs could not hold is refused
+    when the config is built, not once a run reaches it."""
+    for tracked in (True, False):
+        with pytest.raises(ValueError) as exc:
+            SimConfig(n_participants=4, track_genealogies=tracked, **kwargs)
+        assert str(exc.value).startswith(problem)
+
+
+@st.composite
+def _start_times(draw):
+    """Aware times at any microsecond and any whole-second UTC offset, or
+    naive ones; whole seconds and whole-minute offsets half the time."""
+    value = draw(st.datetimes(datetime.datetime(2000, 1, 1), datetime.datetime(2030, 1, 1)))
+    if draw(st.booleans()):
+        value = value.replace(microsecond=0)
+    if draw(st.integers(0, 4)) == 0:
+        return value
+    seconds = draw(st.integers(-1439, 1439).map(lambda m: m * 60) | st.integers(-86399, 86399))
+    return value.replace(tzinfo=datetime.timezone(datetime.timedelta(seconds=seconds)))
+
+
+def _start_outcome(run, **kwargs):
+    """A 4-key run's result without its genealogies, or the refusal text."""
+    try:
+        return replace(run(SimConfig(n_participants=4, **kwargs)), genealogies={})
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_start_times())
+def test_start_time_is_refused_or_runs_alike_in_both_modes(start):
+    """A start time is refused naming start_time, tracked or not, or a
+    room and a one-release redeployment run both ways to the same result
+    apart from the genealogies."""
+    for run, kwargs in ((run_room, {}), (run_redeployment, {"releases": ((0, V1),)})):
+        tracked = _start_outcome(run, start_time=start, **kwargs)
+        counted = _start_outcome(run, start_time=start, track_genealogies=False, **kwargs)
+        assert tracked == counted
+        if isinstance(tracked, str):
+            assert tracked.startswith("start_time: ")
+
+
 # ---------------------------------------------------------------------------
 # redeployment
 
