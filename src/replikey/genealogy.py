@@ -31,7 +31,7 @@ import re
 import warnings
 from dataclasses import dataclass, replace
 
-from .units import _shown
+from .units import _count, _shown
 
 __all__ = [
     "EventKind",
@@ -179,10 +179,8 @@ class GenealogyEvent:
             raise ValueError(f"kind must be an EventKind, got {self.kind!r}")
         _timestamp("timestamp", self.timestamp)
         _check_field("locale", self.locale)
-        if self.capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {_shown(self.capacity)}")
-        if self.batch_count < 1:
-            raise ValueError(f"batch_count must be >= 1, got {_shown(self.batch_count)}")
+        _count("capacity", self.capacity, 1)
+        _count("batch_count", self.batch_count, 1)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from . import genealogy as gen
 from .replicator import FileClass, FileEntry, KeyState, apply_transfer
 from .spreadsim import _DEFAULT_VERSION, _EPOCH, _SQUASHFS, _key_ids, _new_key
-from .units import _expect, _json_text
+from .units import _count, _expect, _json_text
 
 __all__ = [
     "IntegrityError",
@@ -73,8 +73,9 @@ class ManifestParseError(IntegrityError):
         self.reason = reason
 
 
+@functools.lru_cache(maxsize=256)
 def content_digest(content: str) -> str:
-    """Hex digest of a file's content token."""
+    """Hex digest of a file's content token, cached since few tokens differ."""
     return hashlib.sha256(content.encode("utf-8")).hexdigest()
 
 
@@ -429,15 +430,13 @@ class TrustSimConfig:
     quarantine_flagged: bool = True
 
     def __post_init__(self):
-        for name in ("population", "tampered_initial", "meetings", "rng_seed"):
-            _expect(name, getattr(self, name), int)
+        _count("population", self.population, 1)
+        _count("tampered_initial", self.tampered_initial)
+        _count("meetings", self.meetings)
+        _expect("rng_seed", self.rng_seed, int)
         _expect("quarantine_flagged", self.quarantine_flagged, bool)
-        if self.population < 1:
-            raise ValueError("population must be at least 1")
-        if not 0 <= self.tampered_initial <= self.population:
+        if self.tampered_initial > self.population:
             raise ValueError("tampered_initial must be within the population")
-        if self.meetings < 0:
-            raise ValueError("meetings must be non-negative")
         if not isinstance(self.protocol, Protocol):
             raise ValueError("protocol must be a Protocol")
 

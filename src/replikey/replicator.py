@@ -20,8 +20,8 @@ from fractions import Fraction
 from operator import itemgetter
 
 from . import genealogy as gen
-from .units import KIB, MB, _Escaped, _escape, _exact, _expect, _json_text, _load_json, _object
-from .units import _parsed, _shown
+from .units import KIB, MB, _Escaped, _at, _count, _escape, _exact, _expect, _json_text
+from .units import _load_json, _object, _parsed, _shown
 
 __all__ = [
     "Bus",
@@ -115,8 +115,7 @@ class FileEntry:
     content: str = ""
 
     def __post_init__(self):
-        if self.size_bytes < 0:
-            raise ValueError("size_bytes must be >= 0")
+        _count("size_bytes", self.size_bytes)
         if not isinstance(self.file_class, FileClass):
             raise ValueError(f"file_class must be a FileClass, got {self.file_class!r}")
 
@@ -142,8 +141,7 @@ class ImageManifest:
         object.__setattr__(self, "whitelist", frozenset(self.whitelist))
         if not self.whitelist:
             raise ValueError("whitelist must be non-empty")
-        if self.image_bytes <= 0:
-            raise ValueError("image_bytes must be positive")
+        _count("image_bytes", self.image_bytes, 1)
         _check_share_prefix(self.share_prefix)
         for path in self.whitelist:
             if path.startswith(self.share_prefix):
@@ -181,10 +179,8 @@ class KeyState:
         elif self.locale != self.version.locale:  # the header checked its own
             gen._check_field("locale", self.locale)
         _check_share_prefix(self.share_prefix)
-        if self.capacity_kib <= 0:
-            raise ValueError("capacity_kib must be positive")
-        if self.image_bytes <= 0:
-            raise ValueError("image_bytes must be positive")
+        _count("capacity_kib", self.capacity_kib, 1)
+        _count("image_bytes", self.image_bytes, 1)
         seen = set()
         total = 0
         for path, entry in self.files:
@@ -238,7 +234,7 @@ class KeyState:
                 file_class=FileClass.SYSTEM,
                 content=f"{manifest.version.descriptor()}::{path}",
             )
-        locale = locale or manifest.version.locale
+        locale = manifest.version.locale if locale is None else locale
         birth = gen.GenealogyEvent(
             gen.EventKind.BIRTH, born_at, locale, capacity_kib, 1
         )
@@ -277,8 +273,7 @@ class VirtualDevice:
             raise ValueError("device id must be non-empty")
         if not isinstance(self.bus, Bus):
             raise ValueError(f"bus must be a Bus, got {self.bus!r}")
-        if self.capacity_kib <= 0:
-            raise ValueError("capacity_kib must be positive")
+        _count("capacity_kib", self.capacity_kib, 1)
         if self.contents is not None:
             if self.foreign_data:
                 raise ValueError("a device holding a key cannot also hold foreign data")
@@ -341,8 +336,7 @@ class ClonePlan:
     def __post_init__(self):
         object.__setattr__(self, "copy_set", frozenset(self.copy_set))
         object.__setattr__(self, "preserve_set", frozenset(self.preserve_set))
-        if self.bytes_total < 0:
-            raise ValueError("bytes_total must be >= 0")
+        _count("bytes_total", self.bytes_total)
         if self.duration_s < 0:
             raise ValueError("duration_s must be >= 0")
 
@@ -438,33 +432,40 @@ def _check_transfer(
             )
 
 
-def plan_clone(
-    source: VirtualDevice,
-    target: VirtualDevice,
-    bandwidth_mb_s,
-    allow_overwrite: bool = False,
-) -> ClonePlan:
-    """Plan a fresh clone: copy the source key's system and share files
-    onto blank media.
-
-    The target must hold no key (use plan_upgrade for that) and holding
-    foreign data requires allow_overwrite.  Duration is bytes divided by
-    the decimal-MB bandwidth, kept exact."""
-    bandwidth, _ = _rates(bandwidth_mb_s)
+def _plan(mode, source, target, bandwidth_mb_s, ratio, allow_overwrite) -> ClonePlan:
+    """Both planners.  A fresh clone moves the source key's system and
+    share files; an upgrade moves ``ratio`` × the source image plus its
+    share files and keeps the target's personal files.  The duration is
+    exact.  Refused by the check ``execute_plan`` runs too."""
+    bandwidth, ratio = _rates(bandwidth_mb_s, ratio)
+    src_key, tgt_key = source.contents, target.contents
     # a device without a key copies nothing; the check refuses it
-    entries = {} if source.contents is None else _copy_entries(source.contents)
-    bytes_total = sum(e.size_bytes for e in entries.values())
-    _check_transfer(CloneMode.FRESH, source, target, bytes_total, allow_overwrite)
+    entries = {} if src_key is None else _copy_entries(src_key)
+    if mode is CloneMode.FRESH:
+        transfer = sum(e.size_bytes for e in entries.values())
+    else:
+        share = sum(e.size_bytes for e in entries.values() if e.file_class is FileClass.SHARE)
+        transfer = 0 if src_key is None else math.ceil(ratio * src_key.image_bytes + share)
+    _check_transfer(mode, source, target, transfer, allow_overwrite)
     return ClonePlan(
-        mode=CloneMode.FRESH,
+        mode=mode,
         source=source.id,
         target=target.id,
         copy_set=frozenset(entries),
-        preserve_set=frozenset(),
-        bytes_total=bytes_total,
-        duration_s=Fraction(bytes_total) / (bandwidth * MB),
+        preserve_set=frozenset() if tgt_key is None else tgt_key.paths_of(FileClass.PERSONAL),
+        bytes_total=transfer,
+        duration_s=Fraction(transfer) / (bandwidth * MB),
         allow_overwrite=allow_overwrite,
     )
+
+
+def plan_clone(
+    source: VirtualDevice, target: VirtualDevice, bandwidth_mb_s, allow_overwrite: bool = False
+) -> ClonePlan:
+    """Plan a fresh clone: copy the source key's system and share files
+    onto blank media.  The target must hold no key (use plan_upgrade for
+    that) and holding foreign data requires allow_overwrite."""
+    return _plan(CloneMode.FRESH, source, target, bandwidth_mb_s, 1, allow_overwrite)
 
 
 def plan_upgrade(
@@ -474,31 +475,9 @@ def plan_upgrade(
     upgrade_ratio=DEFAULT_UPGRADE_RATIO,
 ) -> ClonePlan:
     """Plan an upgrade: the source key rewrites the target key's system
-    and merges its share directory while every personal file on the
-    target stays in place.
-
-    Transfer volume is upgrade_ratio × the source image size plus the
-    source's share files.  Capacity must cover both the staging peak
-    (current contents plus the incoming transfer) and the final state."""
-    bandwidth, ratio = _rates(bandwidth_mb_s, upgrade_ratio)
-    src_key = source.contents
-    # a device without a key transfers nothing; the check refuses it
-    entries = {} if src_key is None else _copy_entries(src_key)
-    share_bytes = sum(
-        e.size_bytes for e in entries.values() if e.file_class is FileClass.SHARE
-    )
-    transfer = 0 if src_key is None else math.ceil(ratio * src_key.image_bytes + share_bytes)
-    _check_transfer(CloneMode.UPGRADE, source, target, transfer, False)
-    return ClonePlan(
-        mode=CloneMode.UPGRADE,
-        source=source.id,
-        target=target.id,
-        copy_set=frozenset(entries),
-        preserve_set=target.contents.paths_of(FileClass.PERSONAL),
-        bytes_total=transfer,
-        duration_s=Fraction(transfer) / (bandwidth * MB),
-        allow_overwrite=False,
-    )
+    and merges its share directory; the target's personal files stay.
+    Capacity must cover the staging peak and the final state."""
+    return _plan(CloneMode.UPGRADE, source, target, bandwidth_mb_s, upgrade_ratio, False)
 
 
 def _upgraded_files(src_key: KeyState, tgt_files: tuple) -> dict:
@@ -622,14 +601,18 @@ def _key_from_json(where: str, doc) -> KeyState:
     for path, fields in _expect(f"{where}.files", doc["files"], dict).items():
         at = f"{where}.files[{_shown(path)}]"
         _object(at, fields, ("size", "class"), ("content",))
-        files[path] = FileEntry(
+        files[path] = _at(
+            at,
+            FileEntry,
             size_bytes=_expect(f"{at}.size", fields["size"], int),
             file_class=_parsed(FileClass, f"{at}.class", fields["class"]),
             content=_expect(f"{at}.content", fields.get("content", ""), str),
         )
     genealogy = _parsed(gen.parse, f"{where}.genealogy", doc["genealogy"])
     locale = doc.get("locale")
-    return KeyState(
+    return _at(
+        where,
+        KeyState,
         version=_parsed(gen.ProvenanceHeader.from_descriptor, f"{where}.version", doc["version"]),
         files=files,
         image_bytes=_expect(f"{where}.image_bytes", doc["image_bytes"], int),
@@ -670,9 +653,11 @@ def inventory_from_json(text: str):
     """Parse an inventory document produced by inventory_to_json (or
     written by hand to the same schema).  A field an object in it lacks
     or does not know, a value of the wrong JSON type, a key's genealogy
-    that does not parse and a repeated device id are each a ValueError
-    naming the item (``devices[1]: unknown field 'foriegn_data'``,
-    ``devices[0].key.genealogy: line 4: ...``)."""
+    that does not parse, a device, key or file its type refuses and a
+    repeated device id are each a ValueError naming the item
+    (``devices[1]: unknown field 'foriegn_data'``,
+    ``devices[0].key.genealogy: line 4: ...``, ``devices[0].key: locale
+    must be a single token: 'en US'``)."""
     doc = _object("", _load_json(text), ("devices",))
     devices = []
     for index, item in enumerate(_expect("devices", doc["devices"], list)):
@@ -680,7 +665,9 @@ def inventory_from_json(text: str):
         _object(at, item, ("id", "bus", "capacity_kib"), ("boot_source", "foreign_data", "key"))
         key = item.get("key")
         devices.append(
-            VirtualDevice(
+            _at(
+                at,
+                VirtualDevice,
                 id=_expect(f"{at}.id", item["id"], str),
                 bus=_parsed(Bus, f"{at}.bus", item["bus"]),
                 capacity_kib=_expect(f"{at}.capacity_kib", item["capacity_kib"], int),

@@ -25,8 +25,8 @@ from functools import partial
 
 from . import genealogy as gen
 from . import replicator as rep
-from .units import KIB, MB, _Escaped, _escape, _exact, _expect, _json_text, _load_json
-from .units import _object, _parsed, _shown, sig6
+from .units import KIB, MB, _Escaped, _count, _escape, _exact, _expect, _json_text
+from .units import _load_json, _object, _parsed, _shown, sig6
 
 __all__ = [
     "DEFAULT_CAPACITY_KIB",
@@ -112,28 +112,20 @@ class SimConfig:
             self, "releases", tuple(sorted(releases, key=lambda r: r[0]))
         )
         for name in ("n_participants", "seeds", "ports_per_host", "image_bytes", "capacity_kib"):
-            _expect(name, getattr(self, name), int)
+            _count(name, getattr(self, name), 1)
         _expect("track_genealogies", self.track_genealogies, bool)
-        if self.n_participants < 1:
-            raise ValueError("n_participants must be >= 1")
         if self.track_genealogies and self.n_participants > _MAX_TRACKED_KEYS:
             raise ValueError(
                 f"n_participants: {_shown(self.n_participants)} keys exceed the "
                 f"{_MAX_TRACKED_KEYS} a tracked run holds; "
                 "set track_genealogies: false (--count-only)"
             )
-        if not 1 <= self.seeds <= self.n_participants:
+        if self.seeds > self.n_participants:
             raise ValueError("seeds must satisfy 1 <= seeds <= n_participants")
-        if self.ports_per_host < 1:
-            raise ValueError("ports_per_host must be >= 1")
-        if self.image_bytes <= 0:
-            raise ValueError("image_bytes must be positive")
         if self.setup_delay_s < 0:
             raise ValueError("setup_delay_s must be >= 0")
         if self.horizon_s is not None and self.horizon_s < 0:
             raise ValueError("horizon_s must be >= 0")
-        if self.capacity_kib <= 0:
-            raise ValueError("capacity_kib must be positive")
         if self.image_bytes > self.capacity_kib * KIB:
             raise rep.CapacityExceeded(
                 f"image_bytes: {_shown(self.image_bytes)} bytes exceed capacity_kib "
@@ -179,10 +171,10 @@ def rounds_closed_form(n: int, seeds: int = 1, ports: int = 1) -> int:
 
     Every seeded key writes ``ports`` new keys per round and stays
     seeded, so coverage multiplies by (1 + ports) each round."""
-    if not 1 <= seeds <= n:
+    for name, value in (("n", n), ("seeds", seeds), ("ports", ports)):
+        _count(name, value, 1)
+    if seeds > n:
         raise ValueError("need 1 <= seeds <= n")
-    if ports < 1:
-        raise ValueError("ports must be >= 1")
     rounds = 0
     reach = seeds
     while reach < n:

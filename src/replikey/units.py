@@ -76,6 +76,16 @@ def _expect(name: str, value, kind: type):
     return value
 
 
+def _count(name: str, value, least: int = 0) -> int:
+    """``value`` if it is a size, capacity or tally: an int (no bool) of
+    fewer than MAX_DIGITS digits, at least ``least``; else a ValueError."""
+    if type(value) is int and least <= value < _TOO_BIG:  # the common case, one call
+        return value
+    if _expect(name, value, int) < least:
+        raise ValueError(f"{name}: expected at least {least}, got {_shown(value)}")
+    return value
+
+
 def _object(where: str, doc, required=(), optional=()) -> dict:
     """``doc`` if it is a JSON object holding each ``required`` field and
     no field that is neither required nor ``optional``, else a ValueError
@@ -91,14 +101,17 @@ def _object(where: str, doc, required=(), optional=()) -> dict:
     return doc
 
 
-def _parsed(read, name: str, value):
-    """``read(value)`` of the JSON string ``value``; a value that is no
-    string, and a ValueError ``read`` raises, name the field ``name``."""
-    text = _expect(name, value, str)
+def _at(where: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a ValueError it raises names ``where``."""
     try:
-        return read(text)
+        return make(*args, **kwargs)
     except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from exc
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+def _parsed(read, name: str, value):
+    """``read`` of the JSON string ``value``; a non-string or ValueError names ``name``."""
+    return _at(name, read, _expect(name, value, str))
 
 
 def _json_int(digits: str):

@@ -1217,7 +1217,30 @@ def test_share_prefix_without_a_slash_is_refused(capsys, tmp_path):
     path.write_text(json.dumps(_with("share", "key", "share_prefix")))
     code, out, err = run(capsys, "manifest", "--inventory", str(path))
     assert (code, out) == (1, "")
-    assert err == f"error: {path}: share_prefix must end with '/': 'share'\n"
+    assert err == f"error: {path}: devices[0].key: share_prefix must end with '/': 'share'\n"
+
+
+@pytest.mark.parametrize(
+    "doc, problem",
+    [
+        (_with("en US", "key", "locale"), "devices[0].key: locale must be a single token: 'en US'"),
+        (_with(0, "key", "capacity_kib"), "devices[0].key: capacity_kib: expected at least 1, got 0"),
+        (_with(0, "key", "image_bytes"), "devices[0].key: image_bytes: expected at least 1, got 0"),
+        (_with("/x", "key", "boot_path"), "devices[0].key: boot_path '/x' is not a file on the key"),
+        (
+            _with({"/a": {"size": -1, "class": "personal"}}, "key", "files"),
+            "devices[0].key.files['/a']: size_bytes: expected at least 0, got -1",
+        ),
+        (_with(0, "capacity_kib"), "devices[0]: capacity_kib: expected at least 1, got 0"),
+        (_with("", "id"), "devices[0]: device id must be non-empty"),
+    ],
+)
+def test_an_inventory_value_its_type_refuses_names_the_item(capsys, tmp_path, doc, problem):
+    path = tmp_path / "inventory.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "clone-plan", "--inventory", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: {problem}\n"
 
 
 def test_long_integers_in_capacity_texts_stay_one_short_line(capsys, tmp_path):
@@ -1239,4 +1262,6 @@ def test_long_capacity_in_a_log_line_stays_one_short_line(capsys, tmp_path):
     path.write_text(f"i 2013-02-17 13:01:38+00:00 - fr_FR.UTF-8 - -{'9' * 4000} - 1\n")
     code, out, err = run(capsys, "genealogy-stats", str(path))
     assert (code, out) == (1, "")
-    assert err == f"error: {path}: line 1: capacity must be positive, got a 4000-digit integer\n"
+    assert err == (
+        f"error: {path}: line 1: capacity: expected at least 1, got a 4000-digit integer\n"
+    )

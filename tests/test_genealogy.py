@@ -450,7 +450,7 @@ def test_equal_donor_blocks_keep_their_own_p_flag():
 def test_repeated_event_line_does_not_hide_a_later_error():
     good = "i 2013-02-17 13:01:38+00:00 - fr_FR.UTF-8 - 4023296 - 1\n"
     for bad, reason in (
-        ("i 2013-02-17 13:01:38+00:00 - fr_FR.UTF-8 - 0 - 1\n", "capacity must be positive"),
+        ("i 2013-02-17 13:01:38+00:00 - fr_FR.UTF-8 - 0 - 1\n", "capacity: expected at least 1"),
         ("\t" + good, "tab in indentation"),
         ("p Sage 5.6 2013-01-25 en_US.UTF-8 - wheezy - 686-pae\n", "provenance header"),
     ):
@@ -651,7 +651,7 @@ def test_long_integers_in_event_texts_stay_one_short_line(field):
     text = "i 2013-02-17 13:01:38+00:00 - fr_FR.UTF-8 - {capacity} - {batch_count}\n"
     with pytest.raises(GenealogyParseError) as exc:
         parse(text.format(**fields))
-    assert str(exc.value).startswith(f"line 1: {field} must be ")
+    assert str(exc.value).startswith(f"line 1: {field}: expected at least 1, got ")
     assert str(exc.value).endswith("got a 4000-digit integer")
     assert len(str(exc.value)) < 300
 
@@ -759,6 +759,32 @@ def _parse_quiet(text):
 
 @given(_genealogies)
 def test_round_trip_property(g):
+    assert _parse_quiet(serialize(g)) == g
+
+
+_any_count = (
+    st.integers(min_value=-3, max_value=10**8)
+    | st.integers(min_value=10**4298, max_value=10**4299 - 1)
+    | st.floats(allow_nan=False)
+    | st.booleans()
+    | st.fractions(max_denominator=4)
+    | st.text("0123456789.-", max_size=4)
+    | st.none()
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_timestamp, _token, _any_count, _any_count)
+def test_every_event_built_round_trips(timestamp, locale, capacity, batch_count):
+    """An event the constructor accepts, whatever its counts were given
+    as, is read back equal from its own line; the rest are a ValueError
+    naming the field."""
+    try:
+        ev = GenealogyEvent(EventKind.SPAWN, timestamp, locale, capacity, batch_count)
+    except ValueError as exc:
+        assert str(exc).startswith(("capacity: expected ", "batch_count: expected "))
+        return
+    g = Genealogy(events=(ev,))
     assert _parse_quiet(serialize(g)) == g
 
 

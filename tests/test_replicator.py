@@ -489,6 +489,20 @@ def test_keystate_locale_follows_the_log_rule(locale):
     assert str(kept.value).startswith("locale must ")
 
 
+@pytest.mark.parametrize("capacity_kib", ["8", 8.0, 0])
+def test_apply_transfer_holds_the_new_key_capacity_to_the_count_rule(capacity_kib):
+    with pytest.raises(ValueError, match=r"^capacity: expected "):
+        rep.apply_transfer(master(), None, capacity_kib, T0)
+
+
+def test_from_manifest_refuses_an_empty_locale():
+    """An empty locale is refused as the log refuses it, not replaced by
+    the version's; None still means the version's."""
+    with pytest.raises(ValueError, match=r"^locale must be a non-empty string: ''$"):
+        KeyState.from_manifest(manifest(), 7_812_500, T0, locale="")
+    assert KeyState.from_manifest(manifest(), 7_812_500, T0, locale=None).locale == "en_US.UTF-8"
+
+
 @pytest.mark.parametrize("prefix", ["share", "", "/share", 5])
 def test_share_prefix_must_end_with_a_slash(prefix):
     """A key and an image refuse the same share prefixes, by one rule."""

@@ -2,17 +2,24 @@
 and one size limit for every rate, ratio and time, the same on every
 supported Python version; and the JSON object reader, one rule and one
 wording for every field of every object in an input file.  Also the
-JSON writer, which writes what ``json.dumps`` writes."""
+count rule, one rule for every size, capacity and tally a type holds,
+and the JSON writer, which writes what ``json.dumps`` writes."""
 
+import datetime
 import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from replikey import genealogy as gen
+from replikey import integrity as integ
+from replikey import replicator as rep
+from replikey import spreadsim as sim
 from replikey.units import (
     MAX_DIGITS,
     _Escaped,
+    _count,
     _escape,
     _exact,
     _expect,
@@ -216,6 +223,125 @@ def test_shown_describes_a_long_integer_by_its_digits():
     assert _shown(10**79) == str(10**79)
     assert _shown(10 ** (MAX_DIGITS - 1)) == _OVERSIZE
     assert _shown(Fraction(1, 10**100), str) == "1/1" + "0" * 74 + "..."
+
+
+# ---------------------------------------------------------------------------
+# the count rule
+
+
+@pytest.mark.parametrize(
+    "value, least, problem",
+    [
+        (0, 1, "expected at least 1, got 0"),
+        (-1, 0, "expected at least 0, got -1"),
+        pytest.param(-(10**100), 0, "expected at least 0, got a 101-digit integer", id="long"),
+        (True, 0, "expected an integer, got True"),
+        (8.0, 1, "expected an integer, got 8.0"),
+        ("8", 1, "expected an integer, got '8'"),
+        pytest.param(10 ** (MAX_DIGITS - 1), 1, "expected an integer, got " + _OVERSIZE, id="big"),
+    ],
+)
+def test_count_refuses_with_one_wording(value, least, problem):
+    with pytest.raises(ValueError) as exc:
+        _count("capacity_kib", value, least)
+    assert str(exc.value) == f"capacity_kib: {problem}"
+
+
+@pytest.mark.parametrize("value, least", [(0, 0), (1, 1), (10 ** (MAX_DIGITS - 1) - 1, 1)])
+def test_count_accepts(value, least):
+    assert _count("n", value, least) is value
+
+
+_T0 = datetime.datetime(2013, 2, 17, 13, 1, 38, tzinfo=datetime.timezone.utc)
+_HEADER = gen.ProvenanceHeader("Demo", datetime.date(2013, 1, 1), "C", "stable", "amd64")
+# Each type or function holding a count, called with valid arguments plus
+# the ones a case sets.
+_HOLDERS = {
+    "GenealogyEvent": lambda **kw: gen.GenealogyEvent(
+        **{"kind": gen.EventKind.BIRTH, "timestamp": _T0, "locale": "C", "capacity": 4, **kw}
+    ),
+    "FileEntry": lambda **kw: rep.FileEntry(
+        **{"size_bytes": 0, "file_class": rep.FileClass.SYSTEM, **kw}
+    ),
+    "ImageManifest": lambda **kw: rep.ImageManifest(
+        **{"version": _HEADER, "whitelist": {"/a"}, "image_bytes": 1, **kw}
+    ),
+    "KeyState": lambda **kw: rep.KeyState(
+        **{
+            "version": _HEADER,
+            "files": {"/a": rep.FileEntry(1, rep.FileClass.SYSTEM)},
+            "image_bytes": 1,
+            "genealogy": gen.Genealogy(),
+            "capacity_kib": 1,
+            "boot_path": "/a",
+            **kw,
+        }
+    ),
+    "VirtualDevice": lambda **kw: rep.VirtualDevice(
+        **{"id": "a", "bus": rep.Bus.USB, "capacity_kib": 1, **kw}
+    ),
+    "ClonePlan": lambda **kw: rep.ClonePlan(
+        **{
+            "mode": rep.CloneMode.FRESH,
+            "source": "a",
+            "target": "b",
+            "copy_set": (),
+            "preserve_set": (),
+            "bytes_total": 0,
+            "duration_s": Fraction(0),
+            **kw,
+        }
+    ),
+    "SimConfig": lambda **kw: sim.SimConfig(**{"n_participants": 4, "image_bytes": 1, **kw}),
+    "rounds_closed_form": lambda **kw: sim.rounds_closed_form(**{"n": 4, **kw}),
+    "TrustSimConfig": lambda **kw: integ.TrustSimConfig(
+        **{
+            "population": 4,
+            "tampered_initial": 0,
+            "meetings": 0,
+            "protocol": integ.Protocol.NEWEST_BOOTS,
+            **kw,
+        }
+    ),
+}
+# (holder, field, least): every count the library holds
+_COUNTS = [
+    ("GenealogyEvent", "capacity", 1),
+    ("GenealogyEvent", "batch_count", 1),
+    ("FileEntry", "size_bytes", 0),
+    ("ImageManifest", "image_bytes", 1),
+    ("KeyState", "capacity_kib", 1),
+    ("KeyState", "image_bytes", 1),
+    ("VirtualDevice", "capacity_kib", 1),
+    ("ClonePlan", "bytes_total", 0),
+    ("SimConfig", "n_participants", 1),
+    ("SimConfig", "seeds", 1),
+    ("SimConfig", "ports_per_host", 1),
+    ("SimConfig", "image_bytes", 1),
+    ("SimConfig", "capacity_kib", 1),
+    ("rounds_closed_form", "n", 1),
+    ("rounds_closed_form", "seeds", 1),
+    ("rounds_closed_form", "ports", 1),
+    ("TrustSimConfig", "population", 1),
+    ("TrustSimConfig", "tampered_initial", 0),
+    ("TrustSimConfig", "meetings", 0),
+]
+
+
+@pytest.mark.parametrize("holder, field, least", _COUNTS)
+def test_every_count_is_held_to_the_count_rule(holder, field, least):
+    """A count that is no int, or is below its least value, is a
+    ValueError naming the field, never a TypeError; the least value
+    itself is accepted."""
+    make = _HOLDERS[holder]
+    make(**{field: least})
+    for value in ("8", 8.0, True, None, least - 1):
+        with pytest.raises(ValueError) as exc:
+            make(**{field: value})
+        assert str(exc.value) in (
+            f"{field}: expected an integer, got {value!r}",
+            f"{field}: expected at least {least}, got {value!r}",
+        )
 
 
 # ---------------------------------------------------------------------------
