@@ -28,7 +28,7 @@ from . import genealogy as gen
 from . import integrity as integ
 from . import replicator as rep
 from . import spreadsim as sim
-from .units import GB, _exact, _json_text, sig6
+from .units import GB, _count, _exact, _int_text, _json_text, sig6
 
 __all__ = ["dispatch", "entry", "CliError"]
 
@@ -261,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         "logs, clone planning, spread simulation, integrity checks.",
     )
     subs = parser.add_subparsers(dest="command", metavar="command", required=True)
+    count = _arg(_count, _int_text)  # a count flag, in the text grammar of a log's counts
 
     def sub(name, handler, help_text):
         p = subs.add_parser(name, help=help_text)
@@ -285,15 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--bandwidth",
             type=_arg(_exact),
-            default=Fraction("4.5"),
-            help="write speed in decimal MB/s (default 4.5)",
+            default=sim.SimConfig.bandwidth_mb_s,
+            help=f"write speed in decimal MB/s (default {float(sim.SimConfig.bandwidth_mb_s)})",
         )
         p.add_argument("--mode", choices=("auto", "fresh", "upgrade"), default="auto")
         p.add_argument(
             "--ratio",
             type=_arg(_exact),
             default=rep.DEFAULT_UPGRADE_RATIO,
-            help="fraction of the image rewritten by an upgrade (default 4/5)",
+            help="fraction of the image rewritten by an upgrade (default %(default)s)",
         )
         p.add_argument("--allow-overwrite", action="store_true")
 
@@ -310,12 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub("sim-room", _cmd_sim_room, "spread one key through a room")
-    p.add_argument("--n", type=int, required=True, help="participants")
-    p.add_argument("--seeds", type=int, default=1)
-    p.add_argument("--ports", type=int, default=1)
-    p.add_argument("--image-gb", type=_arg(_exact), default=Fraction("2.7"))
-    p.add_argument("--bandwidth", type=_arg(_exact), default=Fraction("4.5"))
-    p.add_argument("--setup-s", type=_arg(_exact), default=Fraction(300))
+    p.add_argument("--n", type=count, required=True, help="participants")
+    p.add_argument("--seeds", type=count, default=sim.SimConfig.seeds)
+    p.add_argument("--ports", type=count, default=sim.SimConfig.ports_per_host)
+    p.add_argument("--image-gb", type=_arg(_exact), default=Fraction(sim.SimConfig.image_bytes, GB))
+    p.add_argument("--bandwidth", type=_arg(_exact), default=sim.SimConfig.bandwidth_mb_s)
+    p.add_argument("--setup-s", type=_arg(_exact), default=sim.SimConfig.setup_delay_s)
     p.add_argument(
         "--count-only",
         action="store_true",
@@ -328,9 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub("trust-sim", _cmd_trust_sim, "measure infection spread under a protocol")
-    p.add_argument("--population", type=int, required=True)
-    p.add_argument("--tampered", type=int, default=0)
-    p.add_argument("--meetings", type=int, required=True)
+    p.add_argument("--population", type=count, required=True)
+    p.add_argument("--tampered", type=count, default=0)
+    p.add_argument("--meetings", type=count, required=True)
     p.add_argument(
         "--protocol",
         choices=tuple(proto.value for proto in integ.Protocol),

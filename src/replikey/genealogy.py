@@ -31,7 +31,7 @@ import re
 import warnings
 from dataclasses import dataclass, replace
 
-from .units import _count, _shown
+from .units import _count, _int_text, _shown
 
 __all__ = [
     "EventKind",
@@ -54,7 +54,7 @@ __all__ = [
     "lint",
 ]
 
-_TIMESTAMP_RE = re.compile(r"^\d{4}-\d{2}-\d{2} \d{2}:\d{2}:\d{2}[+-]\d{2}:\d{2}$")
+_TIMESTAMP_RE = re.compile(r"^\d{4}-\d{2}-\d{2} \d{2}:\d{2}:\d{2}[+-]\d{2}:\d{2}$", re.ASCII)
 _DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 _FIELD_SEP_RE = re.compile(r"\s+-\s+")
 _SEP_IN_TEXT_RE = re.compile(r"\s-\s")
@@ -245,58 +245,45 @@ class LineageStats:
 # parsing
 
 
-def _tokenize(text: str) -> list[tuple[int, int, str, str]]:
-    """The non-blank lines as ``(lineno, indent, tag, payload)`` tuples."""
-    tokens = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
-        if not line.strip():
-            continue
-        stripped = line.lstrip(" ")
-        if stripped[0] == "\t" or "\t" in line[: len(line) - len(stripped)]:
-            raise GenealogyParseError(lineno, "tab in indentation")
-        indent = len(line) - len(stripped)
-        tag, _, payload = stripped.partition(" ")
-        if tag not in ("p", "i", "s", "u"):
-            raise GenealogyParseError(lineno, f"unknown line tag {tag!r}")
-        tokens.append((lineno, indent, tag, payload.strip()))
-    return tokens
-
-
-def _parse_timestamp(text: str, lineno: int) -> datetime.datetime:
-    if not _TIMESTAMP_RE.match(text):
-        raise GenealogyParseError(lineno, f"malformed timestamp {text!r}")
-    try:
-        return datetime.datetime.fromisoformat(text)
-    except ValueError as exc:
-        raise GenealogyParseError(lineno, f"malformed timestamp {text!r}: {exc}") from None
-
-
-def _parse_event(lineno: int, tag: str, payload: str) -> GenealogyEvent:
+def _parse_event(lineno: int, tag: str, payload: str, events: dict) -> GenealogyEvent:
+    """The event an "i" or "s" line's payload spells: the one ``events`` files under its
+    canonical line, read and looked up before anything is built, else one built and filed."""
     fields = _FIELD_SEP_RE.split(payload)
     if len(fields) != 4:
         raise GenealogyParseError(lineno, f"expected 4 event fields, got {len(fields)}")
     ts_text, locale, capacity_text, batch_text = (f.strip() for f in fields)
-    timestamp = _parse_timestamp(ts_text, lineno)
+    if not _TIMESTAMP_RE.match(ts_text):
+        raise GenealogyParseError(lineno, f"malformed timestamp {ts_text!r}")
     try:
-        capacity = int(capacity_text)
-        batch = int(batch_text)
+        timestamp = datetime.datetime.fromisoformat(ts_text)
+    except ValueError as exc:
+        raise GenealogyParseError(lineno, f"malformed timestamp {ts_text!r}: {exc}") from None
+    try:
+        capacity, batch = _int_text(capacity_text), _int_text(batch_text)
     except ValueError:
-        raise GenealogyParseError(
-            lineno, f"malformed integer field in {payload!r}"
-        ) from None
-    kind = EventKind.BIRTH if tag == "i" else EventKind.SPAWN
-    try:
-        return GenealogyEvent(kind, timestamp, locale, capacity, batch)
-    except ValueError as exc:
-        raise GenealogyParseError(lineno, str(exc)) from None
+        raise GenealogyParseError(lineno, f"malformed integer field in {payload!r}") from None
+    kind = EventKind(tag)
+    line = _event_line(kind, timestamp, locale, capacity, batch)
+    ev = events.get(line)
+    if ev is None:
+        try:
+            ev = events[line] = GenealogyEvent(kind, timestamp, locale, capacity, batch)
+        except ValueError as exc:
+            raise GenealogyParseError(lineno, str(exc)) from None
+    return ev
 
 
-def _parse_provenance(text: str, lineno: int) -> ProvenanceHeader:
-    try:
-        return ProvenanceHeader.from_descriptor(text)
-    except ValueError as exc:
-        raise GenealogyParseError(lineno, f"malformed provenance descriptor: {exc}") from None
+def _parse_provenance(text: str, lineno: int, headers: dict) -> ProvenanceHeader:
+    """The header a descriptor spells: the one ``headers`` files under this
+    spelling or its canonical text, else one read and filed under both."""
+    found = headers.get(text)
+    if found is None:
+        try:
+            found = ProvenanceHeader.from_descriptor(text)
+        except ValueError as exc:
+            raise GenealogyParseError(lineno, f"malformed provenance descriptor: {exc}") from None
+        found = headers[text] = headers.setdefault(found.descriptor(), found)
+    return found
 
 
 def _close_donor(stack: list, donors: dict) -> None:
@@ -311,9 +298,7 @@ def _close_donor(stack: list, donors: dict) -> None:
     upgrade = donors.get(key)
     if upgrade is None:
         if provenance is None and not events:
-            raise GenealogyParseError(
-                lineno, "upgrade with no donor events and no descriptor"
-            )
+            raise GenealogyParseError(lineno, "upgrade with no donor events and no descriptor")
         donor = Genealogy(provenance=provenance, events=tuple(events))
         try:
             upgrade = donors[key] = UpgradeEvent(donor=donor, donor_has_provenance=has_p)
@@ -328,71 +313,71 @@ def parse(text: bytes | str) -> Genealogy:
     Accepts canonical output as well as hand-written indentation.  Raises
     GenealogyParseError (naming the line) for malformed input; emits
     GenealogyWarning for lint-level issues such as out-of-order
-    timestamps.  Open records are kept on an explicit stack, so nesting
+    timestamps.  The text is read in one pass, each line checked as it
+    is reached, so of several malformed lines the first in reading order
+    is reported.  Open records are kept on an explicit stack, so nesting
     depth is bounded only by memory.  Equal events and equal donor
     blocks parse to one shared object each: an event is built once per
-    distinct spelling of its line, a donor record once per distinct
-    block, not once per copy.
+    distinct event, a donor record once per distinct block, not once
+    per copy.
     """
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise GenealogyParseError(0, f"input is not valid UTF-8: {exc}") from None
-    toks = _tokenize(text)
-    # intern tables for this call: equal events, headers and donor records
-    # become one object each.  An event or header is filed under each
-    # spelling read and under its canonical text, whose first object every
-    # later spelling gets; never under ==, which equates one instant
-    # written at two UTC offsets
+    # intern tables: equal events, headers and donor blocks become one object each. An
+    # event or header is filed under each spelling read and under its canonical text,
+    # never under ==, which equates one instant at two UTC offsets
     event_table: dict = {}
     header_table: dict = {}
     donor_table: dict = {}
-
-    def header(text: str, lineno: int) -> ProvenanceHeader:
-        found = header_table.get(text)
-        if found is None:
-            found = _parse_provenance(text, lineno)
-            found = header_table.setdefault(found.descriptor(), found)
-            header_table[text] = found
-        return found
-
     # one frame per open record: [level, provenance, events, "u" lineno, has_p];
     # a record claims every line at least as deep as its level
     stack: list = [[0, None, [], 0, False]]
-    for k, (lineno, indent, tag, payload) in enumerate(toks):
+    # a "u" line opens a frame one level deeper, raised to the next line's if deeper
+    opened = False  # the top frame was opened by the last line read
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.rstrip("\r")
+        stripped = line.lstrip(" ")
+        if not stripped or stripped.isspace():
+            continue
+        tag = stripped[0]
+        if tag == "\t":
+            raise GenealogyParseError(lineno, "tab in indentation")
+        if tag not in "pisu" or stripped[1:2] not in ("", " "):
+            raise GenealogyParseError(lineno, f"unknown line tag {stripped.partition(' ')[0]!r}")
+        indent = len(line) - len(stripped)
+        if opened:
+            opened = False
+            stack[-1][0] = max(stack[-1][0], indent)
         while indent < stack[-1][0]:
             _close_donor(stack, donor_table)
         frame = stack[-1]
-        if tag == "p":
+        if tag == "i" or tag == "s":
+            ev = event_table.get(stripped)
+            if ev is None:
+                payload = stripped[2:].strip()
+                ev = event_table[stripped] = _parse_event(lineno, tag, payload, event_table)
+            frame[2].append(ev)
+        elif tag == "p":
             if frame[1] is not None:
                 raise GenealogyParseError(lineno, "provenance already given")
             if frame[2]:
                 raise GenealogyParseError(lineno, "provenance header must precede events")
-            frame[1] = header(payload, lineno)
-        elif tag != "u":
-            ev = event_table.get((tag, payload))
-            if ev is None:
-                ev = _parse_event(lineno, tag, payload)
-                ev = event_table.setdefault(_event_line(ev), ev)
-                event_table[tag, payload] = ev
-            frame[2].append(ev)
+            frame[1] = _parse_provenance(stripped[2:].strip(), lineno, header_table)
         else:
+            payload = stripped[2:].strip()
             has_p = payload == "p" or payload.startswith("p ")
             desc_text = payload[1:].strip() if has_p else payload
             if has_p and not desc_text:
-                raise GenealogyParseError(
-                    lineno, "provenance descriptor expected after 'u p'"
-                )
-            donor_prov = header(desc_text, lineno) if desc_text else None
-            # the first following deeper line sets the donor block's level;
-            # without one the block is empty and the next line closes it
-            after = toks[k + 1][1] if k + 1 < len(toks) else 0
-            stack.append([max(after, indent + 1), donor_prov, [], lineno, has_p])
+                raise GenealogyParseError(lineno, "provenance descriptor expected after 'u p'")
+            donor_prov = _parse_provenance(desc_text, lineno, header_table) if desc_text else None
+            stack.append([indent + 1, donor_prov, [], lineno, has_p])
+            opened = True
     while len(stack) > 1:
         _close_donor(stack, donor_table)
-    _, provenance, events, _, _ = stack[0]
-    record = Genealogy(provenance=provenance, events=tuple(events))
+    record = Genealogy(provenance=stack[0][1], events=tuple(stack[0][2]))
     for message in lint(record):
         warnings.warn(message, GenealogyWarning, stacklevel=2)
     return record
@@ -411,11 +396,11 @@ def _upgrade_line(ev: UpgradeEvent, indent: str) -> str:
     return line
 
 
-def _event_line(ev: GenealogyEvent) -> str:
-    """An event's canonical line, without indentation."""
+def _event_line(kind: EventKind, timestamp, locale, capacity, batch_count) -> str:
+    """The canonical line of an event with these fields, without indentation."""
     return (
-        f"{ev.kind._value_} {ev.timestamp.isoformat(' ')}"
-        f" - {ev.locale} - {ev.capacity} - {ev.batch_count:{_BATCH_SPEC}}"
+        f"{kind._value_} {timestamp.isoformat(' ')}"
+        f" - {locale} - {capacity} - {batch_count:{_BATCH_SPEC}}"
     )
 
 
@@ -445,7 +430,9 @@ def _render(records, line, newline: str):
                 upgrade = isinstance(ev, UpgradeEvent)
                 if piece is None:
                     indent = _INDENT * level
-                    text = _upgrade_line(ev, indent) if upgrade else indent + _event_line(ev)
+                    text = _upgrade_line(ev, indent) if upgrade else indent + _event_line(
+                        ev.kind, ev.timestamp, ev.locale, ev.capacity, ev.batch_count
+                    )
                     piece = seen[id(ev)] = line(text) + newline
                 block.append(piece)
                 if upgrade:

@@ -86,6 +86,16 @@ def _count(name: str, value, least: int = 0) -> int:
     return value
 
 
+def _int_text(text: str) -> int:
+    """The integer ``text`` writes in fewer than MAX_DIGITS ASCII digits after an optional
+    minus (no "+", "_", space or other script's digit, as ``int`` takes); else a ValueError."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit() and len(digits) < MAX_DIGITS):
+        what = f"an integer in fewer than {MAX_DIGITS} ASCII digits"
+        raise ValueError(f"expected {what}, got {_shown(text)}")
+    return int(text)
+
+
 def _object(where: str, doc, required=(), optional=()) -> dict:
     """``doc`` if it is a JSON object holding each ``required`` field and
     no field that is neither required nor ``optional``, else a ValueError

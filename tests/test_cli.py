@@ -117,7 +117,7 @@ def test_parse_error_names_file_and_line(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert str(bad) in err
-    assert "line 2" in err
+    assert "line 1" in err
 
 
 def test_missing_input_file(capsys):
@@ -200,6 +200,62 @@ def test_oversize_exponent_flag_exits_two_at_once(inventory_file, argv, line):
     assert (done.returncode, done.stdout) == (2, "")
     assert [ln for ln in done.stderr.splitlines() if "error" in ln] == [line]
     assert done.stderr.endswith(line + "\n")
+
+
+# each count flag, with the other flags its command requires
+_COUNT_FLAGS = [
+    ("--n", ["sim-room"]),
+    ("--seeds", ["sim-room", "--n", "5"]),
+    ("--ports", ["sim-room", "--n", "5"]),
+    ("--population", ["trust-sim", "--meetings", "5", "--protocol", "random-draw"]),
+    ("--tampered", ["trust-sim", "--population", "5", "--meetings", "5",
+                    "--protocol", "random-draw"]),
+    ("--meetings", ["trust-sim", "--population", "5", "--protocol", "random-draw"]),
+]
+
+
+@pytest.mark.parametrize("spelling", ["1_000", "+5", " 5 ", "٥", "5.0", "0x5", ""])
+@pytest.mark.parametrize("flag, argv", _COUNT_FLAGS)
+def test_count_flags_take_only_ascii_digits(capsys, spelling, flag, argv):
+    """A count flag is read in the text grammar of a log line's counts,
+    not by ``int``, which takes underscores, a plus sign, spaces and
+    other scripts' digits."""
+    code, out, err = run(capsys, *argv, f"{flag}={spelling}")
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        f"error: argument {flag}: expected an integer in fewer than {MAX_DIGITS} ASCII digits,"
+        f" got {spelling!r}\n"
+    )
+
+
+@pytest.mark.parametrize("flag, argv", _COUNT_FLAGS)
+def test_count_flags_refuse_a_negative_or_oversize_count_as_usage(capsys, flag, argv):
+    for value, shown in (
+        ("-1", "value: expected at least 0, got -1\n"),
+        ("9" * MAX_DIGITS, f"expected an integer in fewer than {MAX_DIGITS} ASCII digits,"
+                           f" got '{'9' * 76}...\n"),
+    ):
+        code, out, err = run(capsys, *argv, f"{flag}={value}")
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {flag}: {shown}")
+
+
+def test_sim_flag_defaults_are_the_config_defaults():
+    """sim-room and the clone flags restate no default of SimConfig."""
+    from replikey.cli import build_parser
+
+    args = build_parser().parse_args(["sim-room", "--n", "7"])
+    config = sim.SimConfig(
+        n_participants=7,
+        seeds=args.seeds,
+        ports_per_host=args.ports,
+        image_bytes=int(args.image_gb * 10**9),
+        bandwidth_mb_s=args.bandwidth,
+        setup_delay_s=args.setup_s,
+    )
+    assert config == sim.SimConfig(n_participants=7)
+    clone = build_parser().parse_args(["clone-plan", "--inventory", "x"])
+    assert (clone.bandwidth, clone.ratio) == (config.bandwidth_mb_s, config.upgrade_ratio)
 
 
 def test_clone_exec_requires_timestamp(capsys, inventory_file):

@@ -4,7 +4,9 @@ record operations, and lineage statistics."""
 import ast
 import dataclasses
 import datetime
+import importlib.util
 import json
+import random
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -458,6 +460,72 @@ def test_repeated_event_line_does_not_hide_a_later_error():
             parse(good + "u\n  " + good + good + bad)
         assert exc.value.lineno == 5
         assert exc.value.reason.startswith(reason)
+
+
+@pytest.mark.parametrize(
+    "late", ["\ti 2013-02-17 13:01:38+00:00 - C - 1 - 1", "x junk", "  i\t2013-02-17"]
+)
+@pytest.mark.parametrize(
+    "first, reason",
+    [
+        ("p one - two - three", "malformed provenance descriptor: descriptor head too short"),
+        ("i 2013-02-17 13:01:38+00:00 - C - 0 - 1", "capacity: expected at least 1, got 0"),
+        ("u p", "provenance descriptor expected after 'u p'"),
+    ],
+)
+def test_parse_reports_the_first_malformed_line_in_reading_order(first, reason, late):
+    """Each line is checked as it is read: a fault on line 1 is reported
+    before a tab or an unknown tag on line 3."""
+    good = "i 2013-02-17 13:01:38+00:00 - fr_FR.UTF-8 - 4023296 - 1"
+    with pytest.raises(GenealogyParseError) as exc:
+        parse(f"{first}\n{good}\n{late}\n")
+    assert (exc.value.lineno, exc.value.reason[: len(reason)]) == (1, reason)
+    with pytest.raises(GenealogyParseError) as exc:
+        parse(f"{good}\n{good}\n{late}\n{first}\n")
+    assert exc.value.lineno == 3
+
+
+def test_an_empty_donor_block_is_found_on_reading_the_line_after_it():
+    """A "u" line with no descriptor and no block below it is refused, at
+    its own line, once the next line shows that no block follows; a
+    malformed next line is reported first."""
+    good = "i 2013-02-17 13:01:38+00:00 - fr_FR.UTF-8 - 4023296 - 1"
+    with pytest.raises(GenealogyParseError) as exc:
+        parse(f"{good}\nu\n{good}\n")
+    assert (exc.value.lineno, exc.value.reason) == (
+        2, "upgrade with no donor events and no descriptor"
+    )
+    with pytest.raises(GenealogyParseError) as exc:
+        parse(f"{good}\nu\nx junk\n")
+    assert (exc.value.lineno, exc.value.reason) == (3, "unknown line tag 'x'")
+
+
+@pytest.mark.parametrize(
+    "capacity, batch",
+    [
+        ("4_023_296", "1"),
+        ("+4023296", "1"),
+        ("\u0664\u0660\u0662", "1"),  # Arabic-Indic digits
+        ("4023296", "+1"),
+        ("4023296", "1_0"),
+        ("4023296", "\u00b9"),  # superscript one
+        pytest.param("4023296", "9" * 4300, id="4300-digit-batch"),
+    ],
+)
+def test_event_counts_are_ascii_digits(capacity, batch):
+    """A log line's capacity and batch are read in one text grammar, the
+    count flags' too: ASCII digits, not everything ``int`` reads."""
+    payload = f"2013-02-17 13:01:38+00:00 - fr_FR.UTF-8 - {capacity} - {batch}"
+    with pytest.raises(GenealogyParseError) as exc:
+        parse(f"s {payload}\n")
+    assert exc.value.reason == f"malformed integer field in {payload!r}"
+
+
+def test_timestamp_digits_are_ascii():
+    stamp = "\u0662\u0660\u0661\u0663-02-17 13:01:38+00:00"
+    with pytest.raises(GenealogyParseError) as exc:
+        parse(f"i {stamp} - fr_FR.UTF-8 - 4023296 - 1\n")
+    assert exc.value.reason == f"malformed timestamp {stamp!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -958,20 +1026,55 @@ def test_escaped_render_is_json_of_serialize_property(records):
 # iterative parse, stats and lint must agree with them exactly
 
 
+def _reference_tokenize(text: str):
+    """The tokenizer ``parse`` was first built on: the non-blank lines as
+    ``(lineno, indent, tag, payload)`` tuples.  It yields them one at a
+    time, so a line is refused only when the reader reaches it."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.rstrip("\r")
+        if not line.strip():
+            continue
+        stripped = line.lstrip(" ")
+        if stripped[0] == "\t" or "\t" in line[: len(line) - len(stripped)]:
+            raise GenealogyParseError(lineno, "tab in indentation")
+        indent = len(line) - len(stripped)
+        tag, _, payload = stripped.partition(" ")
+        if tag not in ("p", "i", "s", "u"):
+            raise GenealogyParseError(lineno, f"unknown line tag {tag!r}")
+        yield lineno, indent, tag, payload.strip()
+
+
+class _Tokens:
+    """``_reference_tokenize``'s tokens by index, each read when first
+    asked for; None past the last."""
+
+    def __init__(self, text: str):
+        self._read = _reference_tokenize(text)
+        self._seen: list = []
+
+    def __getitem__(self, i):
+        while len(self._seen) <= i:
+            tok = next(self._read, None)
+            if tok is None:
+                return None
+            self._seen.append(tok)
+        return self._seen[i]
+
+
 def _reference_parse_record(toks, i, base_indent, inline_prov):
     provenance = inline_prov
     events: list = []
-    while i < len(toks) and toks[i][1] >= base_indent:
+    while toks[i] is not None and toks[i][1] >= base_indent:
         lineno, indent, tag, payload = toks[i]
         if tag == "p":
             if provenance is not None:
                 raise GenealogyParseError(lineno, "provenance already given")
             if events:
                 raise GenealogyParseError(lineno, "provenance header must precede events")
-            provenance = gen._parse_provenance(payload, lineno)
+            provenance = gen._parse_provenance(payload, lineno, {})
             i += 1
         elif tag in ("i", "s"):
-            events.append(gen._parse_event(lineno, tag, payload))
+            events.append(gen._parse_event(lineno, tag, payload, {}))
             i += 1
         else:
             has_p = False
@@ -981,8 +1084,8 @@ def _reference_parse_record(toks, i, base_indent, inline_prov):
                 desc_text = desc_text[1:].strip()
             if has_p and not desc_text:
                 raise GenealogyParseError(lineno, "provenance descriptor expected after 'u p'")
-            donor_prov = gen._parse_provenance(desc_text, lineno) if desc_text else None
-            if i + 1 < len(toks) and toks[i + 1][1] > indent:
+            donor_prov = gen._parse_provenance(desc_text, lineno, {}) if desc_text else None
+            if toks[i + 1] is not None and toks[i + 1][1] > indent:
                 donor, i = _reference_parse_record(toks, i + 1, toks[i + 1][1], donor_prov)
             else:
                 donor = Genealogy(provenance=donor_prov)
@@ -999,9 +1102,9 @@ def _reference_parse_record(toks, i, base_indent, inline_prov):
 
 
 def _reference_parse(text: str) -> Genealogy:
-    toks = gen._tokenize(text)
+    toks = _Tokens(text)
     record, i = _reference_parse_record(toks, 0, 0, None)
-    assert i == len(toks)
+    assert toks[i] is None
     return record
 
 
@@ -1342,3 +1445,47 @@ def test_parse_shares_events_and_donors_across_copies():
     assert len(events) == len(canonical) == 5
     assert len(records) == 2  # the top record and one shared donor
     assert len({id(ev) for ev in g.events}) == 3
+
+
+@pytest.fixture(scope="module")
+def generated_log() -> str:
+    """A noisy log of over 36,000 lines from the benchmark's generator,
+    which models the format without this package: separators, donor
+    indentation, batch columns and line ends vary, blank lines fall
+    between, and donor blocks recur at many depths."""
+    path = Path(__file__).parents[1] / "bench" / "genlog.py"
+    spec = importlib.util.spec_from_file_location("bench_genlog", path)
+    genlog = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(genlog)
+    rng = random.Random(1)
+    log = genlog.HistoryMaker(rng).history(36_000, genlog.DESCRIPTORS[0])
+    text = genlog.noisy_text(log, rng, 2)
+    assert text.count("\n") >= 36_000
+    return text
+
+
+def test_parse_builds_each_distinct_event_once(generated_log, monkeypatch):
+    """An event is built once per distinct canonical line, not once per
+    spelling: a new spelling is read and looked up before anything is
+    built."""
+    built = []
+    post_init = GenealogyEvent.__post_init__
+    monkeypatch.setattr(
+        GenealogyEvent, "__post_init__", lambda ev: built.append(ev) or post_init(ev)
+    )
+    g = parse(generated_log)
+    events, _ = _distinct_objects(g)
+    canonical = {line.strip() for line in serialize(g).splitlines() if line.strip()[0] in "is"}
+    assert len(built) == len(events) == len(canonical)
+    assert len(canonical) * 100 < generated_log.count("\n")
+
+
+def test_parse_peaks_below_three_times_the_text(generated_log):
+    """One pass over the lines keeps no per-line token list."""
+    tracemalloc.start()
+    try:
+        parse(generated_log)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(generated_log)

@@ -9,6 +9,7 @@ change that does so records why.
 import datetime
 import hashlib
 import json
+from itertools import count, cycle
 
 from replikey import genealogy as gen
 from replikey import replicator as rep
@@ -68,6 +69,49 @@ def _inventory(target_key):
     )
 
 
+def _noisy_log() -> str:
+    """A log written as a hand would, the same on every run: field
+    separators, donor indentation and the batch column (padded or bare)
+    vary line by line and copy by copy, some lines end in CRLF, blank
+    lines fall between, and two donor blocks recur at several depths,
+    flagged and not."""
+    seps = cycle((" - ", "  -  ", "\t-\t", " -   ", "   - "))
+    padded = cycle((True, False, False))
+    pads = cycle((1, 3, 2, 4))
+    ends = cycle(("", "", "\r", "", " ", "\r\n", ""))
+    minute = count(0, 7)
+
+    def event(tag, batch=1, offset=0):
+        m = next(minute)
+        return f"{tag} 2013-02-17 {m // 60 + offset:02d}:{m % 60:02d}:38+{offset:02d}:00", batch
+
+    chain = [event("i"), event("s", 3), event("s", 12, offset=1), event("s")]
+    upgraded = [event("i"), "u p " + V0, chain, event("i"), event("s", 2)]
+    top = [
+        "p " + V1, event("i"), "u p " + V0, chain, event("i"), "u", upgraded,
+        event("i"), "u " + V2, chain, event("i"), "u p " + V3, upgraded,
+        "u", chain, event("i", offset=1), event("s", 5),
+    ]
+    lines = []
+    stack = [(iter(top), 0)]
+    while stack:
+        for item in stack[-1][0]:
+            depth = stack[-1][1]
+            if isinstance(item, list):
+                stack.append((iter(item), depth + next(pads)))
+                break
+            if isinstance(item, tuple):
+                head, batch = item
+                width = 10 if next(padded) else 0
+                item = next(seps).join((head, "fr_FR.UTF-8", "4023296", f"{batch:>{width}}"))
+            lines.append(" " * depth + item + next(ends))
+            if len(lines) % 5 == 0:
+                lines.append(" " * next(pads))
+        else:
+            stack.pop()
+    return "\n".join(lines) + "\n"
+
+
 FRESH_INVENTORY = _inventory(None)
 UPGRADE_INVENTORY = _inventory(
     _key(
@@ -92,6 +136,8 @@ GOLDEN = {
     "trust-two-key-owner": "84b4cb9e7c5025f331dbc47d7163ae356593c7facbed9a975868077e1b32a9bb",
     "clone-exec-fresh": "728231d0e2bedafabf5f92ae0b6dbfe2dfb2d1a0def137b7782ecba4e6216f90",
     "clone-exec-upgrade": "565382a86646959ff0bcf3d42662ffbab6c8de2217f777ee339d01031c4d1f28",
+    "genealogy-parse": "878b7ddda30146c72fe8e4d723fda463c4eda64d3257df74f38bcb88fe2687ef",
+    "genealogy-stats": "fd1913556ebd5d2a7b14ca257edd3a0b96e842c7083d99f130814f028361ae49",
 }
 
 
@@ -104,6 +150,10 @@ def _argv(name, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
         return ["sim-redeploy", "--config", str(path)]
+    if name.startswith("genealogy-"):
+        path = tmp_path / "noisy.log"
+        path.write_bytes(_noisy_log().encode("utf-8"))
+        return [name, str(path)] + (["--format", "json"] if name == "genealogy-stats" else [])
     if name.startswith("trust-"):
         return [*TRUST, name[len("trust-"):]]
     inventory = FRESH_INVENTORY if name == "clone-exec-fresh" else UPGRADE_INVENTORY

@@ -23,6 +23,7 @@ from replikey.units import (
     _escape,
     _exact,
     _expect,
+    _int_text,
     _json_text,
     _load_json,
     _object,
@@ -250,6 +251,25 @@ def test_count_refuses_with_one_wording(value, least, problem):
 @pytest.mark.parametrize("value, least", [(0, 0), (1, 1), (10 ** (MAX_DIGITS - 1) - 1, 1)])
 def test_count_accepts(value, least):
     assert _count("n", value, least) is value
+
+
+@settings(max_examples=400)
+@given(st.text(" +-_.0123456789\u0663\u0665\u00b2", max_size=8) | st.integers().map(str))
+def test_integer_text_is_ascii_digits_after_an_optional_minus(text):
+    """The text grammar of a count: what ``int`` reads, less a plus sign,
+    underscores, surrounding spaces and other scripts' digits."""
+    if text.removeprefix("-") and _ascii_digits(text.removeprefix("-")):
+        assert _int_text(text) == int(text)
+    else:
+        with pytest.raises(ValueError, match=r"\Aexpected an integer in fewer than 4300 ASCII "):
+            _int_text(text)
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_integer_text_stops_below_the_digit_limit(sign):
+    assert _int_text(sign + "9" * (MAX_DIGITS - 1)) == int(sign + "9" * (MAX_DIGITS - 1))
+    with pytest.raises(ValueError, match=r"\Aexpected an integer in fewer than 4300 ASCII "):
+        _int_text(sign + "9" * MAX_DIGITS)
 
 
 _T0 = datetime.datetime(2013, 2, 17, 13, 1, 38, tzinfo=datetime.timezone.utc)
