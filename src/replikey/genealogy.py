@@ -150,10 +150,10 @@ class ProvenanceHeader:
         head, suite, arch = chunks
         parts = head.rsplit(None, 2)
         if len(parts) != 3:
-            raise ValueError(f"descriptor head too short: {head!r}")
+            raise ValueError(f"descriptor head too short: {_shown(head)}")
         label, date_text, locale = parts
         if not _DATE_RE.match(date_text):
-            raise ValueError(f"malformed build date: {date_text!r}")
+            raise ValueError(f"malformed build date: {_shown(date_text)}")
         return cls(
             label=label,
             build_date=datetime.date.fromisoformat(date_text),
@@ -253,7 +253,7 @@ def _parse_event(lineno: int, tag: str, payload: str, events: dict) -> Genealogy
         raise GenealogyParseError(lineno, f"expected 4 event fields, got {len(fields)}")
     ts_text, locale, capacity_text, batch_text = (f.strip() for f in fields)
     if not _TIMESTAMP_RE.match(ts_text):
-        raise GenealogyParseError(lineno, f"malformed timestamp {ts_text!r}")
+        raise GenealogyParseError(lineno, f"malformed timestamp {_shown(ts_text)}")
     try:
         timestamp = datetime.datetime.fromisoformat(ts_text)
     except ValueError as exc:
@@ -261,7 +261,7 @@ def _parse_event(lineno: int, tag: str, payload: str, events: dict) -> Genealogy
     try:
         capacity, batch = _int_text(capacity_text), _int_text(batch_text)
     except ValueError:
-        raise GenealogyParseError(lineno, f"malformed integer field in {payload!r}") from None
+        raise GenealogyParseError(lineno, f"malformed integer field in {_shown(payload)}") from None
     kind = EventKind(tag)
     line = _event_line(kind, timestamp, locale, capacity, batch)
     ev = events.get(line)
@@ -346,7 +346,8 @@ def parse(text: bytes | str) -> Genealogy:
         if tag == "\t":
             raise GenealogyParseError(lineno, "tab in indentation")
         if tag not in "pisu" or stripped[1:2] not in ("", " "):
-            raise GenealogyParseError(lineno, f"unknown line tag {stripped.partition(' ')[0]!r}")
+            shown = _shown(stripped.partition(" ")[0])
+            raise GenealogyParseError(lineno, f"unknown line tag {shown}")
         indent = len(line) - len(stripped)
         if opened:
             opened = False
@@ -500,6 +501,17 @@ def child_genealogy(parent: Genealogy, birth: GenealogyEvent) -> Genealogy:
     """The record a fresh clone starts with: the parent's full history
     plus the clone's own birth.  The parent record is not touched."""
     return _append(parent, "birth", birth, EventKind.BIRTH)
+
+
+def _transfer(src: Genealogy, tgt: Genealogy | None, spawn, birth) -> tuple:
+    """The log half of one key writing itself onto another: ``src``
+    records ``spawn``, and the new log is a child of it born at
+    ``birth`` (``tgt`` None, blank media) or ``tgt`` upgraded from it.
+    Returns (src_after, new_log)."""
+    src = record_spawn(src, spawn)
+    if tgt is None:
+        return src, child_genealogy(src, birth)
+    return src, record_upgrade(tgt, src, birth)
 
 
 # ---------------------------------------------------------------------------

@@ -172,7 +172,7 @@ def manifest_to_text(manifest: IntegrityManifest) -> str:
 def manifest_from_text(text: str) -> IntegrityManifest:
     """Parse the text form back. The version is not part of the text
     format, so it comes back as None."""
-    digests = []
+    digests = {}
     boot = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -189,15 +189,17 @@ def manifest_from_text(text: str) -> IntegrityManifest:
         digest, path = line[:64], line[66:]
         if not set(digest) <= _HEX:
             raise ManifestParseError(lineno, "digest is not lowercase hex")
-        digests.append((path, digest))
+        if path in digests:
+            raise ManifestParseError(lineno, "duplicate path in manifest")
+        digests[path] = digest
     if boot is None:
         raise ManifestParseError(
             len(text.splitlines()) + 1, "missing boot= trailer"
         )
     try:
-        return IntegrityManifest(digests=tuple(digests), boot_pointer=boot)
-    except ValueError as exc:
-        raise ManifestParseError(1, str(exc)) from exc
+        return IntegrityManifest(digests=tuple(digests.items()), boot_pointer=boot)
+    except ValueError as exc:  # what is left to refuse is the boot line, the last read
+        raise ManifestParseError(lineno, str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -519,24 +519,22 @@ def apply_transfer(
     bandwidth and staging space are the caller's concern; only the
     final files are held to ``capacity_kib`` (CapacityExceeded)."""
     spawn = gen.GenealogyEvent(gen.EventKind.SPAWN, now, src.locale, src.capacity_kib, 1)
-    src_after = replace(src, genealogy=gen.record_spawn(src.genealogy, spawn))
     birth = gen.GenealogyEvent(gen.EventKind.BIRTH, now, src.locale, capacity_kib, 1)
-    if tgt is None:
-        genealogy = gen.child_genealogy(src_after.genealogy, birth)
-    else:
-        genealogy = gen.record_upgrade(tgt.genealogy, src_after.genealogy, birth)
+    src_log, new_log = gen._transfer(
+        src.genealogy, None if tgt is None else tgt.genealogy, spawn, birth
+    )
     new_key = KeyState(
         version=src.version,
         files=_upgraded_files(src, () if tgt is None else tgt.files),
         image_bytes=src.image_bytes,
-        genealogy=genealogy,
+        genealogy=new_log,
         capacity_kib=capacity_kib,
         boot_path=src.boot_path,
         locale=src.locale,
         share_prefix=src.share_prefix,
         compromised=src.compromised,
     )
-    return src_after, new_key
+    return replace(src, genealogy=src_log), new_key
 
 
 def execute_plan(plan: ClonePlan, inventory, now: datetime.datetime):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import datetime
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
 
@@ -56,8 +56,8 @@ _DEFAULT_VERSION = gen.ProvenanceHeader(
 DEFAULT_CAPACITY_KIB = 7_812_500  # an 8 GB key in 1 KiB blocks
 _IMAGE_BYTES = 2_700_000_000
 _SQUASHFS = "/live/filesystem.squashfs"
-# The most keys a tracked run holds, each built before the first round:
-# at this limit a room or one-release redeployment run fits in about 1 GB.
+# The most keys a tracked run holds, a log for each set up before the first
+# round: at this limit a room or one-release redeployment run fits in about 1 GB.
 _MAX_TRACKED_KEYS = 100_000
 _HEADER = gen.ProvenanceHeader
 
@@ -188,19 +188,12 @@ def _key_ids(n: int) -> list:
     return [f"key-{i:0{width}d}" for i in range(n)]
 
 
-def _manifest(version: gen.ProvenanceHeader, image_bytes: int) -> rep.ImageManifest:
-    return rep.ImageManifest(
-        version=version,
-        whitelist=frozenset({_SQUASHFS}),
-        image_bytes=image_bytes,
-    )
-
-
 def _new_key(
-    version, born_at=_EPOCH, image_bytes=_IMAGE_BYTES, capacity=DEFAULT_CAPACITY_KIB, locale=None
+    version, born_at=_EPOCH, image_bytes=_IMAGE_BYTES, capacity=DEFAULT_CAPACITY_KIB
 ) -> rep.KeyState:
     """A simulated key freshly written from an image of ``version``."""
-    return rep.KeyState.from_manifest(_manifest(version, image_bytes), capacity, born_at, locale)
+    image = rep.ImageManifest(version, frozenset({_SQUASHFS}), image_bytes)
+    return rep.KeyState.from_manifest(image, capacity, born_at)
 
 
 def _floor_time(config: SimConfig, elapsed: Fraction) -> datetime.datetime:
@@ -212,32 +205,19 @@ def _floor_time(config: SimConfig, elapsed: Fraction) -> datetime.datetime:
         ) from None
 
 
-def _seed_keys(config: SimConfig, count: int) -> list:
-    """``count`` equal keys of the base version, as one shared snapshot."""
+def _seed_log(config: SimConfig) -> gen.Genealogy:
+    """The log of a seed key: a key of the base version born at the start."""
     key = _new_key(config.base_version, config.start_time, config.image_bytes, config.capacity_kib)
-    return [key] * count
+    return key.genealogy
 
 
-def _genealogies(keys: list) -> dict:
-    return {key_id: key.genealogy for key_id, key in zip(_key_ids(len(keys)), keys)}
-
-
-def _land(
-    config: SimConfig, master: rep.KeyState, header: gen.ProvenanceHeader, now
-) -> rep.KeyState:
-    """The maintainer rewrites ``master`` with release ``header``: a
-    rebuilt key whose log records an upgrade from a donor that is only
-    the release's provenance.  This is no ``apply_transfer``, which would
-    log a birth and a spawn of the maintainer's key in the donor."""
-    donor = gen.Genealogy(provenance=header)
-    rebirth = gen.GenealogyEvent(gen.EventKind.BIRTH, now, master.locale, master.capacity_kib, 1)
-    rebuilt = _new_key(header, now, config.image_bytes, master.capacity_kib, master.locale)
-    return replace(rebuilt, genealogy=gen.record_upgrade(master.genealogy, donor, rebirth))
+def _genealogies(logs: list) -> dict:
+    return dict(zip(_key_ids(len(logs)), logs))
 
 
 def _round_loop(
     config: SimConfig,
-    keys: list,
+    logs: list,
     held: int,
     write_bytes: int,
     releases: tuple = (),
@@ -254,8 +234,10 @@ def _round_loop(
     (j - c) // ports.  Each of ``releases`` lands on key 0 once the clock
     reaches its time, restarting the prefix at one key.  Nothing lands,
     and no round ends, past ``horizon``; ``refusal``, if given, is raised
-    in place of the first round.  With genealogies tracked ``keys`` is
-    updated in place; otherwise the loop costs O(rounds + releases).
+    in place of the first round.  With genealogies tracked ``logs`` (one
+    per key) is updated in place; otherwise the loop costs O(rounds +
+    releases).  Every key keeps the base version's locale and
+    ``capacity_kib``, so a round's spawn and birth serve all its transfers.
 
     Returns (makespan from the first landing, per-round count of keys
     holding a landed version, or the newest one if none landed,
@@ -263,6 +245,7 @@ def _round_loop(
     n, ports = config.n_participants, config.ports_per_host
     round_len = config.setup_delay_s + Fraction(write_bytes) / (config.bandwidth_mb_s * MB)
     track = config.track_genealogies
+    locale, capacity = config.base_version.locale, config.capacity_kib
     reach = [held]  # per version held, oldest first: the prefix it reached
     start = elapsed = Fraction(0)
     covered = 0
@@ -276,7 +259,11 @@ def _round_loop(
         if due is not None and due <= elapsed:
             now = _floor_time(config, elapsed)
             if track:
-                keys[0] = _land(config, keys[0], releases[landed][1], now)
+                # the maintainer rewrites key 0: its log embeds a donor that is
+                # only the release's provenance, with no spawn of a donor key
+                rebirth = gen.GenealogyEvent(gen.EventKind.BIRTH, now, locale, capacity, 1)
+                donor = gen.Genealogy(provenance=releases[landed][1])
+                logs[0] = gen.record_upgrade(logs[0], donor, rebirth)
             if not landed:
                 start = elapsed
             reach.append(1)
@@ -291,11 +278,11 @@ def _round_loop(
             elapsed += round_len
             now = _floor_time(config, elapsed)
             if track:
+                spawn = gen.GenealogyEvent(gen.EventKind.SPAWN, now, locale, capacity, 1)
+                birth = gen.GenealogyEvent(gen.EventKind.BIRTH, now, locale, capacity, 1)
                 for j in range(c, c + new):
                     src = (j - c) // ports
-                    keys[src], keys[j] = rep.apply_transfer(
-                        keys[src], keys[j], config.capacity_kib, now
-                    )
+                    logs[src], logs[j] = gen._transfer(logs[src], logs[j], spawn, birth)
             reach[-1] = c + new
             covered = max(covered, c + new)
             per_round_seeded.append(covered)
@@ -322,9 +309,9 @@ def run_room(config: SimConfig) -> SimResult:
     everyone has a key.  Participants 0..covered-1 hold keys, and each
     round they clone onto the next blanks in order."""
     n, seeds = config.n_participants, config.seeds
-    keys = _seed_keys(config, seeds) + [None] * (n - seeds) if config.track_genealogies else []
+    logs = [_seed_log(config)] * seeds + [None] * (n - seeds) if config.track_genealogies else []
     makespan, seeded, per_round_bytes, coverage = _round_loop(
-        config, keys, seeds, config.image_bytes
+        config, logs, seeds, config.image_bytes
     )
     bytes_delivered = (n - seeds) * config.image_bytes
     amortized = (
@@ -339,7 +326,7 @@ def run_room(config: SimConfig) -> SimResult:
         amortized_mb_s=amortized,
         per_round_seeded=seeded,
         per_round_bytes=per_round_bytes,
-        genealogies=_genealogies(keys),
+        genealogies=_genealogies(logs),
         version_coverage=coverage,
     )
 
@@ -365,9 +352,9 @@ def run_redeployment(config: SimConfig) -> SimResult:
             f"({_shown(staging_peak)} bytes) exceed capacity_kib {_shown(config.capacity_kib)} "
             f"({_shown(config.capacity_kib * KIB)} bytes)"
         )
-    keys = _seed_keys(config, n) if config.track_genealogies else []
+    logs = [_seed_log(config)] * n if config.track_genealogies else []
     makespan, seeded, per_round_bytes, coverage = _round_loop(
-        config, keys, n, per_upgrade_bytes, config.releases, config.horizon_s, refusal
+        config, logs, n, per_upgrade_bytes, config.releases, config.horizon_s, refusal
     )
     return SimResult(
         n_participants=n,
@@ -378,7 +365,7 @@ def run_redeployment(config: SimConfig) -> SimResult:
         amortized_mb_s=Fraction(0),
         per_round_seeded=seeded,
         per_round_bytes=per_round_bytes,
-        genealogies=_genealogies(keys),
+        genealogies=_genealogies(logs),
         version_coverage=coverage,
         upgrade_bytes=sum(per_round_bytes),
     )

@@ -37,7 +37,7 @@ from replikey.genealogy import (
     stats,
 )
 
-from replikey.units import _escape
+from replikey.units import _escape, _shown
 
 DATA = Path(__file__).parent / "data"
 UTC = datetime.timezone.utc
@@ -518,7 +518,7 @@ def test_event_counts_are_ascii_digits(capacity, batch):
     payload = f"2013-02-17 13:01:38+00:00 - fr_FR.UTF-8 - {capacity} - {batch}"
     with pytest.raises(GenealogyParseError) as exc:
         parse(f"s {payload}\n")
-    assert exc.value.reason == f"malformed integer field in {payload!r}"
+    assert exc.value.reason == f"malformed integer field in {_shown(payload)}"
 
 
 def test_timestamp_digits_are_ascii():
@@ -526,6 +526,30 @@ def test_timestamp_digits_are_ascii():
     with pytest.raises(GenealogyParseError) as exc:
         parse(f"i {stamp} - fr_FR.UTF-8 - 4023296 - 1\n")
     assert exc.value.reason == f"malformed timestamp {stamp!r}"
+
+
+_LONG = "x" * 5000
+_PAYLOAD = f"2013-02-17 13:01:38+00:00 - C - 1 - {_LONG}"
+
+
+@pytest.mark.parametrize(
+    "line, prefix, value",
+    [
+        (f"s {_PAYLOAD}", "malformed integer field in ", _PAYLOAD),
+        (f"q{_LONG}", "unknown line tag ", f"q{_LONG}"),
+        (f"i {_LONG} - C - 1 - 1", "malformed timestamp ", _LONG),
+        (f"p {_LONG} - stable - amd64", "descriptor head too short: ", _LONG),
+        (f"p Demo {_LONG} C - stable - amd64", "malformed build date: ", _LONG),
+    ],
+    ids=["integer", "tag", "timestamp", "descriptor-head", "build-date"],
+)
+def test_parse_errors_quote_a_long_value_cut_to_80_characters(line, prefix, value):
+    """A diagnostic quotes at most 80 characters of a value, however long
+    the line it was read from."""
+    with pytest.raises(GenealogyParseError) as exc:
+        parse(line + "\n")
+    assert exc.value.reason.endswith(prefix + _shown(value))
+    assert len(_shown(value)) == 80
 
 
 # ---------------------------------------------------------------------------
@@ -1040,7 +1064,7 @@ def _reference_tokenize(text: str):
         indent = len(line) - len(stripped)
         tag, _, payload = stripped.partition(" ")
         if tag not in ("p", "i", "s", "u"):
-            raise GenealogyParseError(lineno, f"unknown line tag {tag!r}")
+            raise GenealogyParseError(lineno, f"unknown line tag {_shown(tag)}")
         yield lineno, indent, tag, payload.strip()
 
 

@@ -48,7 +48,6 @@ from replikey.spreadsim import (
     _IMAGE_BYTES,
     _SQUASHFS,
     _key_ids,
-    _manifest,
 )
 
 UTC = datetime.timezone.utc
@@ -180,6 +179,23 @@ def test_manifest_parse_errors():
         manifest_from_text(f"{d} /a\nboot=/a\n")  # one space only
     with pytest.raises(ManifestParseError):
         manifest_from_text(f"{d}  /a\nboot=/b\n")  # boot unlisted
+
+
+def test_manifest_parse_names_the_repeated_path_line():
+    d = content_digest("x")
+    with pytest.raises(ManifestParseError) as e:
+        manifest_from_text(f"{d}  /a\n{d}  /b\n{d}  /a\nboot=/a\n")
+    assert (e.value.lineno, e.value.reason) == (3, "duplicate path in manifest")
+
+
+def test_manifest_parse_names_the_boot_line():
+    d = content_digest("x")
+    with pytest.raises(ManifestParseError) as e:
+        manifest_from_text(f"{d}  /a\n{d}  /b\nboot=/z\n")
+    assert (e.value.lineno, e.value.reason) == (3, "boot pointer '/z' is not a listed file")
+    with pytest.raises(ManifestParseError) as e:
+        manifest_from_text("boot=/a\n")
+    assert (e.value.lineno, e.value.reason) == (1, "manifest lists no files")
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +515,8 @@ def _reference_trust_sim(config):
     built up front, the unflagged pool rebuilt and the compromised keys
     recounted over the whole population after every meeting."""
     rng = random.Random(config.rng_seed)
-    base = _manifest(_DEFAULT_VERSION, _IMAGE_BYTES)
-    fake = _manifest(_TAMPERED_VERSION, _IMAGE_BYTES)
+    base = ImageManifest(_DEFAULT_VERSION, frozenset({_SQUASHFS}), _IMAGE_BYTES)
+    fake = ImageManifest(_TAMPERED_VERSION, frozenset({_SQUASHFS}), _IMAGE_BYTES)
     keys = {}
     for i, key_id in enumerate(_key_ids(config.population)):
         if i < config.tampered_initial:

@@ -182,7 +182,7 @@ def test_room_count_mode_matches_tracked():
 )
 def test_tracking_off_matches_tracked_property(run, n, seeds, ports, release_times, horizon):
     """Without genealogies both simulators report the same numbers and
-    write no key at all."""
+    log no transfer at all."""
     kwargs = dict(
         n_participants=n,
         seeds=min(seeds, n),
@@ -191,14 +191,14 @@ def test_tracking_off_matches_tracked_property(run, n, seeds, ports, release_tim
         horizon_s=horizon,
     )
     calls = []
-    real = rep.apply_transfer
+    real = gen._transfer
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rep, "apply_transfer", counting)
+        mp.setattr(gen, "_transfer", counting)
         tracked = run(SimConfig(**kwargs))
         transfers = len(calls)
         untracked = run(SimConfig(**kwargs, track_genealogies=False))
@@ -455,9 +455,55 @@ def test_tracked_runs_hold_a_bounded_count_of_keys():
         assert SimConfig(n_participants=n, track_genealogies=False).n_participants == n
 
 
+def _refused(*args):
+    raise AssertionError("a simulator built a key through apply_transfer")
+
+
+@pytest.mark.parametrize(
+    "run, config, landings",
+    [
+        (run_room, SimConfig(n_participants=8192), 0),
+        (
+            run_redeployment,
+            SimConfig(
+                n_participants=64, ports_per_host=2, releases=((0, V1), (5000, V2), (20_000, V3))
+            ),
+            3,
+        ),
+    ],
+)
+def test_tracked_runs_build_one_key_and_each_rounds_events_once(
+    monkeypatch, run, config, landings
+):
+    """A tracked run carries logs, not keys: it builds the seed key, one
+    rebirth per landing, and each round's spawn and birth once for all
+    of the round's transfers, none of which goes through apply_transfer."""
+    built = dict.fromkeys((rep.KeyState, gen.GenealogyEvent), 0)
+    for cls in built:
+
+        def counting(self, _check=cls.__post_init__, _cls=cls):
+            built[_cls] += 1
+            _check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    monkeypatch.setattr(rep, "apply_transfer", _refused)
+    result = run(config)
+    assert len(result.genealogies) == config.n_participants
+    assert built == {rep.KeyState: 1, gen.GenealogyEvent: 1 + landings + 2 * result.rounds}
+
+
 # ---------------------------------------------------------------------------
-# reference model: one list entry per key, as the simulators were first
-# written, against the shared round loop's prefix counts
+# reference model: one full key per participant, as the simulators were
+# first written, against the shared round loop's prefix counts and logs
+
+
+def _reference_key(version, image_bytes, capacity_kib, born_at, locale=None):
+    image = rep.ImageManifest(version, frozenset({"/live/filesystem.squashfs"}), image_bytes)
+    return rep.KeyState.from_manifest(image, capacity_kib, born_at, locale)
+
+
+def _reference_genealogies(keys):
+    return {key_id: key.genealogy for key_id, key in zip(sim._key_ids(len(keys)), keys)}
 
 
 def _reference_transfer_round(keys, sources, targets, config, now):
@@ -473,7 +519,10 @@ def _reference_room(config):
     clone_s = Fraction(config.image_bytes) / (config.bandwidth_mb_s * MB)
     round_len = config.setup_delay_s + clone_s
     track = config.track_genealogies
-    keys = sim._seed_keys(config, seeds) + [None] * (n - seeds) if track else []
+    seed = _reference_key(
+        config.base_version, config.image_bytes, config.capacity_kib, config.start_time
+    )
+    keys = [seed] * seeds + [None] * (n - seeds) if track else []
     elapsed = Fraction(0)
     rounds = 0
     covered = seeds
@@ -502,7 +551,7 @@ def _reference_room(config):
         amortized_mb_s=amortized,
         per_round_seeded=tuple(per_round_seeded),
         per_round_bytes=tuple(per_round_bytes),
-        genealogies=sim._genealogies(keys),
+        genealogies=_reference_genealogies(keys),
         version_coverage={config.base_version.descriptor(): n},
     )
 
@@ -517,7 +566,10 @@ def _reference_redeployment(config):
     staging_peak = config.image_bytes + per_upgrade_bytes
     capacity = config.capacity_kib * KIB
     track = config.track_genealogies
-    keys = sim._seed_keys(config, n) if track else []
+    seed = _reference_key(
+        config.base_version, config.image_bytes, config.capacity_kib, config.start_time
+    )
+    keys = [seed] * n if track else []
     headers = [config.base_version] + [header for _, header in config.releases]
     level = [0] * n
     elapsed = Fraction(0)
@@ -545,11 +597,8 @@ def _reference_redeployment(config):
                 rebirth = gen.GenealogyEvent(
                     gen.EventKind.BIRTH, now, master.locale, master.capacity_kib, 1
                 )
-                rebuilt = rep.KeyState.from_manifest(
-                    sim._manifest(header, config.image_bytes),
-                    master.capacity_kib,
-                    now,
-                    locale=master.locale,
+                rebuilt = _reference_key(
+                    header, config.image_bytes, master.capacity_kib, now, master.locale
                 )
                 keys[0] = replace(
                     rebuilt, genealogy=gen.record_upgrade(master.genealogy, donor, rebirth)
@@ -595,7 +644,7 @@ def _reference_redeployment(config):
         amortized_mb_s=Fraction(0),
         per_round_seeded=tuple(per_round_seeded),
         per_round_bytes=tuple(per_round_bytes),
-        genealogies=sim._genealogies(keys),
+        genealogies=_reference_genealogies(keys),
         version_coverage=coverage,
         upgrade_bytes=sum(per_round_bytes),
     )
