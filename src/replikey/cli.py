@@ -28,7 +28,7 @@ from . import genealogy as gen
 from . import integrity as integ
 from . import replicator as rep
 from . import spreadsim as sim
-from .units import GB, _count, _exact, _int_text, _json_text, sig6
+from .units import GB, _count, _exact, _int_text, _json_pieces, sig6
 
 __all__ = ["dispatch", "entry", "CliError"]
 
@@ -72,13 +72,14 @@ def _load(path: str, read):
     return loaded
 
 
-def _emit(text: str, out_path):
+def _emit(pieces: list, out_path):
+    """Write a handler's str pieces, all built before the file opens, unjoined."""
     if out_path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise CliError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
 
@@ -104,11 +105,11 @@ def _arg(check, parse=str):
 # genealogy subcommands
 
 
-def _cmd_genealogy_parse(args) -> str:
-    return gen.serialize(_load(args.input, gen.parse))
+def _cmd_genealogy_parse(args) -> list:
+    return next(gen._render((_load(args.input, gen.parse),), str, "\n"))  # serialize's pieces
 
 
-def _cmd_genealogy_stats(args) -> str:
+def _cmd_genealogy_stats(args) -> list:
     s = gen.stats(_load(args.input, gen.parse))
     first, last = (
         None if t is None else t.isoformat(sep=" ") for t in (s.first_event, s.last_event)
@@ -123,14 +124,14 @@ def _cmd_genealogy_stats(args) -> str:
             "first_event": first,
             "last_event": last,
         }
-        return _json_text(doc)
-    return (
+        return _json_pieces(doc)
+    return [
         f"births={s.birth_count} spawns={s.spawn_count} upgrades={s.upgrade_count}\n"
         f"provenance_headers={s.provenance_count}\n"
         f"max_embedding_depth={s.max_embedding_depth}\n"
         f"first_event={first or 'none'}\n"
         f"last_event={last or 'none'}\n"
-    )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +152,7 @@ def _make_plan(args, inventory) -> rep.ClonePlan:
     return rep.plan_upgrade(source, target, args.bandwidth, upgrade_ratio=args.ratio)
 
 
-def _plan_to_json(plan: rep.ClonePlan) -> str:
+def _plan_to_json(plan: rep.ClonePlan) -> list:
     doc = {
         "mode": plan.mode.value,
         "source": plan.source,
@@ -162,32 +163,32 @@ def _plan_to_json(plan: rep.ClonePlan) -> str:
         "duration_s": sig6(plan.duration_s),
         "allow_overwrite": plan.allow_overwrite,
     }
-    return _json_text(doc)
+    return _json_pieces(doc)
 
 
-def _cmd_clone_plan(args) -> str:
+def _cmd_clone_plan(args) -> list:
     inventory = _load(args.inventory, rep.inventory_from_json)
     return _plan_to_json(_make_plan(args, inventory))
 
 
-def _cmd_clone_exec(args) -> str:
+def _cmd_clone_exec(args) -> list:
     inventory = _load(args.inventory, rep.inventory_from_json)
     plan = _make_plan(args, inventory)
     updated = rep.execute_plan(plan, inventory, args.at)
-    return rep.inventory_to_json(updated)
+    return _json_pieces(rep._inventory_doc(updated))
 
 
 # ---------------------------------------------------------------------------
 # simulation subcommands
 
 
-def _sim_output(result, fmt: str) -> str:
+def _sim_output(result, fmt: str) -> list:
     if fmt == "csv":
-        return _csv(sim.time_series_rows(result))
-    return sim.sim_result_to_json(result)
+        return [_csv(sim.time_series_rows(result))]
+    return _json_pieces(sim._result_doc(result))
 
 
-def _cmd_sim_room(args) -> str:
+def _cmd_sim_room(args) -> list:
     image_bytes = args.image_gb * GB
     if image_bytes.denominator != 1:
         raise CliError("image size must come to a whole number of bytes")
@@ -203,12 +204,12 @@ def _cmd_sim_room(args) -> str:
     return _sim_output(sim.run_room(config), args.format)
 
 
-def _cmd_sim_redeploy(args) -> str:
+def _cmd_sim_redeploy(args) -> list:
     result = _load(args.config, lambda text: sim.run_redeployment(sim.sim_config_from_json(text)))
     return _sim_output(result, args.format)
 
 
-def _cmd_trust_sim(args) -> str:
+def _cmd_trust_sim(args) -> list:
     config = integ.TrustSimConfig(
         population=args.population,
         tampered_initial=args.tampered,
@@ -217,7 +218,7 @@ def _cmd_trust_sim(args) -> str:
         rng_seed=args.seed,
         quarantine_flagged=not args.no_quarantine,
     )
-    return integ.trust_sim_result_to_json(integ.run_trust_sim(config))
+    return [integ.trust_sim_result_to_json(integ.run_trust_sim(config))]
 
 
 # ---------------------------------------------------------------------------
@@ -236,18 +237,18 @@ def _key_on_device(args) -> rep.KeyState:
     return device.contents
 
 
-def _cmd_manifest(args) -> str:
-    return integ.manifest_to_text(integ.build_manifest(_key_on_device(args)))
+def _cmd_manifest(args) -> list:
+    return [integ.manifest_to_text(integ.build_manifest(_key_on_device(args)))]
 
 
-def _cmd_verify(args) -> str:
+def _cmd_verify(args) -> list:
     key = _key_on_device(args)
     reference = _load(args.reference, integ.manifest_from_text)
     verdict = integ.check_against(key, reference)
     out = f"verdict={verdict.outcome.value}\n"
     if verdict.offending_path is not None:
         out += f"offending_path={verdict.offending_path}\n"
-    return out
+    return [out]
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +361,7 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        output = args.handler(args)
-        _emit(output, args.output)
+        _emit(args.handler(args), args.output)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from . import genealogy as gen
 from .replicator import FileClass, FileEntry, KeyState, apply_transfer
 from .spreadsim import _DEFAULT_VERSION, _EPOCH, _SQUASHFS, _key_ids, _new_key
-from .units import _count, _expect, _json_text
+from .units import _count, _expect, _json_text, _shown
 
 __all__ = [
     "IntegrityError",
@@ -104,12 +104,10 @@ class IntegrityManifest:
             raise ValueError("duplicate path in manifest")
         for path, digest in items:
             if len(digest) != 64 or not set(digest) <= _HEX:
-                raise ValueError(f"bad digest for {path!r}")
+                raise ValueError(f"bad digest for {_shown(path)}")
         object.__setattr__(self, "digests", items)
         if self.boot_pointer not in dict(items):
-            raise ValueError(
-                f"boot pointer {self.boot_pointer!r} is not a listed file"
-            )
+            raise ValueError(f"boot pointer {_shown(self.boot_pointer)} is not a listed file")
 
     def digest_map(self) -> dict:
         return dict(self.digests)

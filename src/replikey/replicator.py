@@ -534,7 +534,9 @@ def apply_transfer(
         share_prefix=src.share_prefix,
         compromised=src.compromised,
     )
-    return replace(src, genealogy=src_log), new_key
+    src_after = object.__new__(KeyState)  # same files; only the log, whose spawn _append checked
+    src_after.__dict__.update(src.__dict__, genealogy=src_log)
+    return src_after, new_key
 
 
 def execute_plan(plan: ClonePlan, inventory, now: datetime.datetime):
@@ -625,11 +627,16 @@ def _key_from_json(where: str, doc) -> KeyState:
 
 def inventory_to_json(inventory) -> str:
     """Serialize an inventory as a deterministic JSON document."""
+    return _json_text(_inventory_doc(inventory))
+
+
+def _inventory_doc(inventory) -> dict:
+    """The document ``inventory_to_json`` writes."""
     devices = tuple(inventory)
     # an upgraded key embeds its donor's log, so the keys share lines and blocks
     records = [d.contents.genealogy for d in devices if d.contents is not None]
     genealogies = map(_Escaped, gen._render(records, _escape, "\\n"))
-    doc = {
+    return {
         "devices": [
             {
                 "id": d.id,
@@ -644,7 +651,6 @@ def inventory_to_json(inventory) -> str:
             for d in devices
         ]
     }
-    return _json_text(doc)
 
 
 def inventory_from_json(text: str):

@@ -449,9 +449,14 @@ def sim_config_from_json(text: str) -> SimConfig:
 def sim_result_to_json(result: SimResult) -> str:
     """Deterministic JSON rendering of a result; rationals are printed
     with six significant digits, genealogies in their text format."""
+    return _json_text(_result_doc(result))
+
+
+def _result_doc(result: SimResult) -> dict:
+    """The document ``sim_result_to_json`` writes."""
     key_ids = sorted(result.genealogies)
     texts = gen._render([result.genealogies[key_id] for key_id in key_ids], _escape, "\\n")
-    doc = {
+    return {
         "n_participants": result.n_participants,
         "ports": result.ports,
         "rounds": result.rounds,
@@ -464,4 +469,3 @@ def sim_result_to_json(result: SimResult) -> str:
         "version_coverage": dict(sorted(result.version_coverage.items())),
         "genealogies": dict(zip(key_ids, map(_Escaped, texts))),
     }
-    return _json_text(doc)

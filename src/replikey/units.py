@@ -143,7 +143,7 @@ def _load_json(text: str) -> dict:
 
 
 class _Escaped(list):
-    """A JSON string's body as escaped pieces, which ``_json_text`` keeps."""
+    """A JSON string's body as escaped pieces, which ``_json_pieces`` keeps."""
 
 
 def _escape(text: str) -> str:
@@ -151,9 +151,10 @@ def _escape(text: str) -> str:
     return json.encoder.encode_basestring_ascii(text)[1:-1]
 
 
-def _json_text(doc) -> str:
+def _json_pieces(doc) -> list:
     """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` for string keys,
-    byte for byte, with ``_Escaped`` strings kept as they are: one join."""
+    byte for byte, as a list of str pieces that holds ``_Escaped`` strings'
+    pieces as they are; a writer writes them, and never needs them joined."""
     out: list = []
 
     def write(value, newline: str) -> None:  # newline: line break and indent of its level
@@ -178,4 +179,9 @@ def _json_text(doc) -> str:
 
     write(doc, "\n")
     out.append("\n")
-    return "".join(out)
+    return out
+
+
+def _json_text(doc) -> str:
+    """``_json_pieces(doc)`` joined: the document as one string."""
+    return "".join(_json_pieces(doc))

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -1321,3 +1322,126 @@ def test_long_capacity_in_a_log_line_stays_one_short_line(capsys, tmp_path):
     assert err == (
         f"error: {path}: line 1: capacity: expected at least 1, got a 4000-digit integer\n"
     )
+
+
+# ---------------------------------------------------------------------------
+# output bytes: a file and standard output get the same pieces
+
+
+_MULTI_RELEASE = {
+    "n_participants": 24,
+    "ports_per_host": 2,
+    "releases": [
+        {"time_s": 0, "version": _V11},
+        {"time_s": 900, "version": "Demo Live 1.2 2013-07-01 de_DE.UTF-8 - stable - amd64"},
+        {"time_s": 40_000, "version": "Démo Live 1.3 2013-08-01 ja_JP.UTF-8 - stable - amd64"},
+    ],
+}
+_AT = datetime.datetime(2013, 2, 17, 13, 11, 38, tzinfo=UTC)
+
+
+def _output_case(name, tmp_path, inventory_file):
+    """``name``'s argv, and the library's string for its output (None
+    for an output only the CLI formats)."""
+    if name == "genealogy-parse":  # a provenance label in non-ASCII UTF-8
+        text = Path(SAMPLE).read_text().replace("Debian Live", "Débian Live 日本語")
+        path = tmp_path / "utf8.txt"
+        path.write_bytes(text.encode("utf-8"))
+        return [name, str(path)], gen.serialize(gen.parse(text))
+    if name.startswith("genealogy-stats"):
+        return ["genealogy-stats", SAMPLE, "--format", name.rsplit("-", 1)[1]], None
+    if name == "clone-plan":
+        return [name, "--inventory", inventory_file], None
+    if name == "clone-exec":
+        inventory = two_key_inventory()
+        plan = rep.plan_clone(inventory[0], inventory[1], sim.SimConfig.bandwidth_mb_s)
+        expected = rep.inventory_to_json(rep.execute_plan(plan, inventory, _AT))
+        return [name, "--inventory", inventory_file, "--at", _AT.isoformat(" ")], expected
+    if name.startswith("sim-room"):
+        argv = ["sim-room", "--n", "60", "--ports", "3", "--format", name.rsplit("-", 1)[1]]
+        config = sim.SimConfig(n_participants=60, ports_per_host=3)
+        return argv, sim.sim_result_to_json(sim.run_room(config)) if "json" in name else None
+    if name == "sim-redeploy":
+        path = tmp_path / "multi.json"
+        path.write_text(json.dumps(_MULTI_RELEASE))
+        result = sim.run_redeployment(sim.sim_config_from_json(path.read_text()))
+        return [name, "--config", str(path)], sim.sim_result_to_json(result)
+    if name == "trust-sim":
+        config = integ.TrustSimConfig(32, 3, 200, integ.Protocol.RANDOM_DRAW, 7)
+        argv = [name, "--population", "32", "--tampered", "3", "--meetings", "200",
+                "--protocol", "random-draw", "--seed", "7"]
+        return argv, integ.trust_sim_result_to_json(integ.run_trust_sim(config))
+    manifest = integ.manifest_to_text(integ.build_manifest(master_key()))
+    if name == "manifest":
+        return [name, "--inventory", inventory_file], manifest
+    reference = tmp_path / "reference.txt"
+    reference.write_text(manifest)
+    return [name, "--inventory", inventory_file, "--reference", str(reference)], None
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "genealogy-parse", "genealogy-stats-text", "genealogy-stats-json", "clone-plan",
+        "clone-exec", "sim-room-json", "sim-room-csv", "sim-redeploy", "trust-sim",
+        "manifest", "verify",
+    ],
+)
+def test_file_and_stdout_bytes_are_the_library_string(capsysbinary, tmp_path, inventory_file, name):
+    argv, expected = _output_case(name, tmp_path, inventory_file)
+    assert dispatch(argv) == 0
+    stdout, err = capsysbinary.readouterr()
+    out_file = tmp_path / "out"
+    assert dispatch([*argv, "-o", str(out_file)]) == 0
+    assert capsysbinary.readouterr() == (b"", err)
+    assert out_file.read_bytes() == stdout
+    if expected is not None:
+        assert stdout == expected.encode("utf-8")
+    if name == "genealogy-parse":
+        assert "p Sage 5.6 Débian Live 日本語".encode("utf-8") in stdout
+
+
+@pytest.mark.parametrize("name", ["clone-exec", "sim-room", "verify"])
+def test_a_handler_failing_after_its_input_is_read_writes_no_file(
+    capsys, tmp_path, inventory_file, name
+):
+    if name == "clone-exec":  # the inventory reads, then the two-USB rule refuses it
+        path = tmp_path / "three.json"
+        spare = rep.VirtualDevice(id="sdd", bus=rep.Bus.USB, capacity_kib=7_812_500)
+        path.write_text(rep.inventory_to_json(two_key_inventory() + (spare,)))
+        argv = [name, "--inventory", str(path), "--at", _AT.isoformat(" ")]
+    elif name == "sim-room":  # the room runs until its clock passes year 9999
+        argv = [name, "--n", "4", "--setup-s", "1e15"]
+    else:  # both files read, then the device is not in the inventory
+        reference = tmp_path / "reference.txt"
+        reference.write_text(integ.manifest_to_text(integ.build_manifest(master_key())))
+        argv = [name, "--inventory", inventory_file, "--reference", str(reference),
+                "--device", "sdz"]
+    out_file = tmp_path / "never.txt"
+    code, out, err = run(capsys, *argv, "-o", str(out_file))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out_file.exists()
+
+
+def test_sim_redeploy_peak_memory_stays_below_its_output(tmp_path):
+    """The CLI writes the renderer's pieces as they are: no whole-document
+    string and no encoded copy of it, so a multi-release document, whose
+    logs repeat donor history, is written in less memory than its size."""
+    releases = [
+        {"time_s": k * 100_000,
+         "version": f"Demo Live 1.{k + 1} 2013-{k + 2:02d}-01 en_US.UTF-8 - stable - amd64"}
+        for k in range(8)
+    ]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_participants": 32, "releases": releases}))
+    out_file = tmp_path / "out.json"
+    argv = ["sim-redeploy", "--config", str(config), "-o", str(out_file)]
+    assert dispatch(argv) == 0  # imports and caches warm
+    tracemalloc.start()
+    try:
+        assert dispatch(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out_file.stat().st_size

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from replikey import genealogy as gen
+from replikey import integrity
 from replikey.integrity import (
     _TAMPERED_VERSION,
     IntegrityManifest,
@@ -186,6 +187,18 @@ def test_manifest_parse_names_the_repeated_path_line():
     with pytest.raises(ManifestParseError) as e:
         manifest_from_text(f"{d}  /a\n{d}  /b\n{d}  /a\nboot=/a\n")
     assert (e.value.lineno, e.value.reason) == (3, "duplicate path in manifest")
+
+
+def test_long_paths_in_manifest_diagnostics_stay_one_short_line():
+    d = content_digest("x")
+    with pytest.raises(ManifestParseError) as e:
+        manifest_from_text(f"{d}  /a\nboot=/{'b' * 5000}\n")
+    assert e.value.lineno == 2 and len(str(e.value)) < 200
+    assert e.value.reason.startswith("boot pointer '/bbb")
+    assert e.value.reason.endswith("... is not a listed file")
+    with pytest.raises(ValueError) as e:
+        IntegrityManifest(digests=((f"/{'p' * 5000}", "zz"),), boot_pointer="/a")
+    assert str(e.value).startswith("bad digest for '/ppp") and len(str(e.value)) < 200
 
 
 def test_manifest_parse_names_the_boot_line():
@@ -432,6 +445,29 @@ def test_trust_sim_no_tampered_keys():
     assert len(res.infected_over_time) == 301
     assert res.detections == 0
     assert res.false_negatives == 0
+
+
+def test_trust_sim_checks_one_new_key_per_transfer(monkeypatch):
+    """A meeting that transfers checks the key it writes, and only that:
+    the booted key's after-state swaps in its log and keeps its files."""
+    checked, transfers = [], []
+    post_init = KeyState.__post_init__
+    monkeypatch.setattr(
+        KeyState, "__post_init__", lambda key: checked.append(key) or post_init(key)
+    )
+    transfer = integrity.apply_transfer
+    monkeypatch.setattr(
+        integrity, "apply_transfer", lambda *a: transfers.append(transfer(*a)) or transfers[-1]
+    )
+    for protocol in Protocol:
+        config = TrustSimConfig(32, 3, 300, protocol, 7)
+        run_trust_sim(replace(config, meetings=0))
+        setup = len(checked)
+        del checked[:]
+        run_trust_sim(config)
+        assert transfers and len(checked) == setup + len(transfers)
+        assert all(key is new for key, (_, new) in zip(checked[setup:], transfers))
+        del checked[:], transfers[:]
 
 
 def test_trust_sim_newest_boots_monotone_infection():

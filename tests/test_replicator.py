@@ -324,6 +324,25 @@ def test_execute_fresh_emits_paired_events():
     assert src.genealogy.events[-1].timestamp == child.genealogy.events[-1].timestamp == T0
 
 
+@pytest.mark.parametrize("upgrade", [False, True])
+def test_execute_plan_checks_only_the_new_key(monkeypatch, upgrade):
+    """The source's files do not change, so its after-state, which only
+    swaps in the log with its spawn, is not checked again as a key."""
+    src = usb("key0", master(version=NEWER), boot=True)
+    tgt = usb("key1", master()) if upgrade else usb("blank0")
+    plan = plan_upgrade(src, tgt, 4.5) if upgrade else plan_clone(src, tgt, 4.5)
+    checked = []
+    post_init = KeyState.__post_init__
+    monkeypatch.setattr(
+        KeyState, "__post_init__", lambda key: checked.append(key) or post_init(key)
+    )
+    out = execute_plan(plan, (internal("hd0"), src, tgt), T0)
+    assert len(checked) == 1 and checked[0] is out[2].contents
+    after = out[1].contents
+    assert after.genealogy.events[-1].kind is gen.EventKind.SPAWN
+    assert after == dataclasses.replace(src.contents, genealogy=after.genealogy)
+
+
 def test_execute_fresh_conservation():
     share = {"/share/a.pdf": FileEntry(7, FileClass.SHARE, "a")}
     inv, out = exec_fresh(share)
