@@ -106,7 +106,7 @@ def _arg(check, parse=str):
 
 
 def _cmd_genealogy_parse(args) -> list:
-    return next(gen._render((_load(args.input, gen.parse),), str, "\n"))  # serialize's pieces
+    return next(gen._render((_load(args.input, gen.parse),)))  # serialize's pieces
 
 
 def _cmd_genealogy_stats(args) -> list:
@@ -218,7 +218,7 @@ def _cmd_trust_sim(args) -> list:
         rng_seed=args.seed,
         quarantine_flagged=not args.no_quarantine,
     )
-    return [integ.trust_sim_result_to_json(integ.run_trust_sim(config))]
+    return _json_pieces(integ._trust_doc(integ.run_trust_sim(config)))
 
 
 # ---------------------------------------------------------------------------

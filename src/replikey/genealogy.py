@@ -31,7 +31,7 @@ import re
 import warnings
 from dataclasses import dataclass, replace
 
-from .units import _count, _int_text, _shown
+from .units import _Escaped, _count, _escape, _int_text, _shown
 
 __all__ = [
     "EventKind",
@@ -44,7 +44,6 @@ __all__ = [
     "GenealogyWarning",
     "parse",
     "serialize",
-    "serialize_many",
     "record_birth",
     "record_spawn",
     "record_upgrade",
@@ -405,19 +404,21 @@ def _event_line(kind: EventKind, timestamp, locale, capacity, batch_count) -> st
     )
 
 
-def _render(records, line, newline: str):
-    """Yield each record as text pieces, each line put through ``line``
-    (``str``, or JSON escaping) and ended by ``newline``.  As in
-    hash-consing, each line (event, level) goes through ``line`` once
-    and each block (record, level) is walked once; a block written again
-    is joined once from its first writing, one written once never is."""
+def _render(records, escaped: bool = False):
+    """Yield each record as text pieces: a list that joins to its
+    ``serialize`` text, or with ``escaped`` an ``_Escaped`` list that
+    joins to that text's body as a JSON string.  As in hash-consing, each
+    line (event, level) is formatted once and each block (record, level)
+    is walked once; a block written again is joined once from its first
+    writing, one written once never is."""
+    line, newline, kind = (_escape, "\\n", _Escaped) if escaped else (str, "\n", list)
     records = list(records)  # keeps every object alive, so ids stay unique
     # per level: id(event) -> its piece; level 0 also holds headers' "p" lines
     pieces: dict = {0: {}}
     # (id(record), level) -> first writing as (pieces, start, end), then its text
     blocks: dict = {}
     for g in records:
-        out: list = []
+        out = kind()
         if (header := g.provenance) is not None:
             head = pieces[0].get(id(header)) or line(f"p {header.descriptor()}") + newline
             out.append(pieces[0].setdefault(id(header), head))
@@ -458,13 +459,7 @@ def serialize(g: Genealogy) -> str:
     least one event (a completely empty donor has no written form the
     parser accepts back).
     """
-    return "".join(next(_render((g,), str, "\n")))
-
-
-def serialize_many(records) -> list[str]:
-    """``[serialize(g) for g in records]``, formatting each line and donor
-    block the records share (clones, common donors) once for the batch."""
-    return list(map("".join, _render(records, str, "\n")))
+    return "".join(next(_render((g,))))
 
 
 # ---------------------------------------------------------------------------

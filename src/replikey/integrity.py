@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from . import genealogy as gen
 from .replicator import FileClass, FileEntry, KeyState, apply_transfer
 from .spreadsim import _DEFAULT_VERSION, _EPOCH, _SQUASHFS, _key_ids, _new_key
-from .units import _count, _expect, _json_text, _shown
+from .units import _count, _expect, _json_pieces, _shown
 
 __all__ = [
     "IntegrityError",
@@ -162,6 +162,12 @@ def expected_manifest(
 
 
 def manifest_to_text(manifest: IntegrityManifest) -> str:
+    """One ``<digest>  <path>`` line per file, then ``boot=<pointer>``.  A
+    path (the boot pointer is one) that is empty or holds a line break
+    has no line of its own in this format: a ValueError names it."""
+    for path in manifest.paths():
+        if not path or "\n" in path or "\r" in path:
+            raise ValueError(f"path {_shown(path)} cannot be written on a manifest line")
     lines = [f"{digest}  {path}" for path, digest in manifest.digests]
     lines.append(f"boot={manifest.boot_pointer}")
     return "\n".join(lines) + "\n"
@@ -169,10 +175,15 @@ def manifest_to_text(manifest: IntegrityManifest) -> str:
 
 def manifest_from_text(text: str) -> IntegrityManifest:
     """Parse the text form back. The version is not part of the text
-    format, so it comes back as None."""
+    format, so it comes back as None.  Lines end at "\\n" alone, and one
+    "\\r" before it is dropped, so a path may hold any other character."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the text's final line break, or an empty text
     digests = {}
     boot = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
+        line = line.removesuffix("\r")
         if not line.strip():
             raise ManifestParseError(lineno, "blank line")
         if boot is not None:
@@ -191,9 +202,7 @@ def manifest_from_text(text: str) -> IntegrityManifest:
             raise ManifestParseError(lineno, "duplicate path in manifest")
         digests[path] = digest
     if boot is None:
-        raise ManifestParseError(
-            len(text.splitlines()) + 1, "missing boot= trailer"
-        )
+        raise ManifestParseError(len(lines) + 1, "missing boot= trailer")
     try:
         return IntegrityManifest(digests=tuple(digests.items()), boot_pointer=boot)
     except ValueError as exc:  # what is left to refuse is the boot line, the last read
@@ -524,10 +533,14 @@ def run_trust_sim(config: TrustSimConfig) -> TrustSimResult:
 
 
 def trust_sim_result_to_json(result: TrustSimResult) -> str:
-    doc = {
+    return "".join(_json_pieces(_trust_doc(result)))
+
+
+def _trust_doc(result: TrustSimResult) -> dict:
+    """The document ``trust_sim_result_to_json`` writes."""
+    return {
         "detections": result.detections,
         "false_negatives": result.false_negatives,
         "infected_over_time": list(result.infected_over_time),
         "quarantined": result.quarantined,
     }
-    return _json_text(doc)

@@ -20,8 +20,8 @@ from fractions import Fraction
 from operator import itemgetter
 
 from . import genealogy as gen
-from .units import KIB, MB, _Escaped, _at, _count, _escape, _exact, _expect, _json_text
-from .units import _load_json, _object, _parsed, _shown
+from .units import KIB, MB, _at, _count, _exact, _expect, _json_pieces, _load_json, _object
+from .units import _parsed, _shown
 
 __all__ = [
     "Bus",
@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 DEFAULT_UPGRADE_RATIO = Fraction(4, 5)
+_SHARE_PREFIX = "/share/"  # where shared files live when an image names no other place
 
 
 class ReplicationError(Exception):
@@ -134,7 +135,7 @@ class ImageManifest:
     version: gen.ProvenanceHeader
     whitelist: frozenset
     image_bytes: int
-    share_prefix: str = "/share/"
+    share_prefix: str = _SHARE_PREFIX
     boot_path: str | None = None
 
     def __post_init__(self):
@@ -167,7 +168,7 @@ class KeyState:
     capacity_kib: int
     boot_path: str
     locale: str | None = None
-    share_prefix: str = "/share/"
+    share_prefix: str = _SHARE_PREFIX
     compromised: bool = False
 
     def __post_init__(self):
@@ -620,14 +621,14 @@ def _key_from_json(where: str, doc) -> KeyState:
         capacity_kib=_expect(f"{where}.capacity_kib", doc["capacity_kib"], int),
         boot_path=_expect(f"{where}.boot_path", doc["boot_path"], str),
         locale=None if locale is None else _expect(f"{where}.locale", locale, str),
-        share_prefix=_expect(f"{where}.share_prefix", doc.get("share_prefix", "/share/"), str),
+        share_prefix=_expect(f"{where}.share_prefix", doc.get("share_prefix", _SHARE_PREFIX), str),
         compromised=_expect(f"{where}.compromised", doc.get("compromised", False), bool),
     )
 
 
 def inventory_to_json(inventory) -> str:
     """Serialize an inventory as a deterministic JSON document."""
-    return _json_text(_inventory_doc(inventory))
+    return "".join(_json_pieces(_inventory_doc(inventory)))
 
 
 def _inventory_doc(inventory) -> dict:
@@ -635,7 +636,7 @@ def _inventory_doc(inventory) -> dict:
     devices = tuple(inventory)
     # an upgraded key embeds its donor's log, so the keys share lines and blocks
     records = [d.contents.genealogy for d in devices if d.contents is not None]
-    genealogies = map(_Escaped, gen._render(records, _escape, "\\n"))
+    genealogies = gen._render(records, escaped=True)
     return {
         "devices": [
             {

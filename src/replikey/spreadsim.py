@@ -25,8 +25,8 @@ from functools import partial
 
 from . import genealogy as gen
 from . import replicator as rep
-from .units import KIB, MB, _Escaped, _count, _escape, _exact, _expect, _json_text
-from .units import _load_json, _object, _parsed, _shown, sig6
+from .units import KIB, MB, _count, _exact, _expect, _json_pieces, _load_json, _object, _parsed
+from .units import _shown, sig6
 
 __all__ = [
     "DEFAULT_CAPACITY_KIB",
@@ -449,13 +449,13 @@ def sim_config_from_json(text: str) -> SimConfig:
 def sim_result_to_json(result: SimResult) -> str:
     """Deterministic JSON rendering of a result; rationals are printed
     with six significant digits, genealogies in their text format."""
-    return _json_text(_result_doc(result))
+    return "".join(_json_pieces(_result_doc(result)))
 
 
 def _result_doc(result: SimResult) -> dict:
     """The document ``sim_result_to_json`` writes."""
     key_ids = sorted(result.genealogies)
-    texts = gen._render([result.genealogies[key_id] for key_id in key_ids], _escape, "\\n")
+    texts = gen._render([result.genealogies[key_id] for key_id in key_ids], escaped=True)
     return {
         "n_participants": result.n_participants,
         "ports": result.ports,
@@ -467,5 +467,5 @@ def _result_doc(result: SimResult) -> dict:
         "per_round_seeded": list(result.per_round_seeded),
         "per_round_bytes": list(result.per_round_bytes),
         "version_coverage": dict(sorted(result.version_coverage.items())),
-        "genealogies": dict(zip(key_ids, map(_Escaped, texts))),
+        "genealogies": dict(zip(key_ids, texts)),
     }

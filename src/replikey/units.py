@@ -180,8 +180,3 @@ def _json_pieces(doc) -> list:
     write(doc, "\n")
     out.append("\n")
     return out
-
-
-def _json_text(doc) -> str:
-    """``_json_pieces(doc)`` joined: the document as one string."""
-    return "".join(_json_pieces(doc))

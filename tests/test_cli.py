@@ -1,6 +1,7 @@
 """Tests for the command line front end: subcommand behavior, exit
 codes, diagnostics, and byte-level determinism."""
 
+import argparse
 import contextlib
 import datetime
 import io
@@ -20,7 +21,7 @@ from replikey import genealogy as gen
 from replikey import integrity as integ
 from replikey import replicator as rep
 from replikey import spreadsim as sim
-from replikey.cli import dispatch, entry
+from replikey.cli import build_parser, dispatch, entry
 from replikey.units import KIB, MAX_DIGITS
 
 DATA = Path(__file__).parent / "data"
@@ -818,6 +819,33 @@ def test_verify_unknown_device(capsys, inventory_file, tmp_path):
             assert (code, out, err) == (1, "", f"error: {problem}\n")
 
 
+@pytest.mark.parametrize("path", ["/boot/a\u2028b.cfg", "/boot/\x85\x0c.cfg", ""])
+def test_manifest_of_any_path_is_read_by_verify_or_refused(capsys, tmp_path, path):
+    """A system path holding a character ``str.splitlines`` breaks at,
+    other than "\\n" and "\\r", gets a manifest that verify reads; an
+    empty path gets no manifest file at all."""
+    manifest = rep.ImageManifest(
+        version=V0,
+        whitelist=frozenset({"/live/filesystem.squashfs", path}),
+        image_bytes=2_700_000_000,
+    )
+    key = rep.KeyState.from_manifest(manifest, 7_812_500, T0)
+    assert key.boot_path == path
+    inventory = tmp_path / "inv.json"
+    device = rep.VirtualDevice("sdb", rep.Bus.USB, 7_812_500, contents=key, is_boot_source=True)
+    inventory.write_text(rep.inventory_to_json([device]))
+    ref = tmp_path / "ref.txt"
+    code, out, err = run(capsys, "manifest", "--inventory", str(inventory), "-o", str(ref))
+    if not path:
+        assert (code, out) == (1, "")
+        assert err == "error: path '' cannot be written on a manifest line\n"
+        assert not ref.exists()
+        return
+    assert (code, out, err) == (0, "", "")
+    code, out, err = run(capsys, "verify", "--inventory", str(inventory), "--reference", str(ref))
+    assert (code, out, err) == (0, "verdict=pass\n", "")
+
+
 def test_manifest_without_boot_source(capsys, tmp_path):
     inventory = tmp_path / "inv.json"
     inventory.write_text(
@@ -1379,14 +1407,18 @@ def _output_case(name, tmp_path, inventory_file):
     return [name, "--inventory", inventory_file, "--reference", str(reference)], None
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "genealogy-parse", "genealogy-stats-text", "genealogy-stats-json", "clone-plan",
-        "clone-exec", "sim-room-json", "sim-room-csv", "sim-redeploy", "trust-sim",
-        "manifest", "verify",
-    ],
-)
+_OUTPUT_NAMES = [
+    "genealogy-parse", "genealogy-stats-text", "genealogy-stats-json", "clone-plan",
+    "clone-exec", "sim-room-json", "sim-room-csv", "sim-redeploy", "trust-sim",
+    "manifest", "verify",
+]
+_JSON_OUTPUTS = {
+    "genealogy-stats-json", "clone-plan", "clone-exec", "sim-room-json", "sim-redeploy",
+    "trust-sim",
+}
+
+
+@pytest.mark.parametrize("name", _OUTPUT_NAMES)
 def test_file_and_stdout_bytes_are_the_library_string(capsysbinary, tmp_path, inventory_file, name):
     argv, expected = _output_case(name, tmp_path, inventory_file)
     assert dispatch(argv) == 0
@@ -1399,6 +1431,25 @@ def test_file_and_stdout_bytes_are_the_library_string(capsysbinary, tmp_path, in
         assert stdout == expected.encode("utf-8")
     if name == "genealogy-parse":
         assert "p Sage 5.6 Débian Live 日本語".encode("utf-8") in stdout
+
+
+def test_every_handler_returns_a_list_of_str(tmp_path, inventory_file):
+    """Every subcommand's handler returns its output as a list of str
+    pieces, never a bare str, which ``writelines`` would write one
+    character at a time; a JSON output is ``json.dumps``'s canonical form."""
+    parser = build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    covered = set()
+    for name in _OUTPUT_NAMES:
+        argv, _ = _output_case(name, tmp_path, inventory_file)
+        args = parser.parse_args(argv)
+        pieces = args.handler(args)
+        assert type(pieces) is list and all(type(p) is str for p in pieces), name
+        if name in _JSON_OUTPUTS:
+            out = "".join(pieces)
+            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", name
+        covered.add(argv[0])
+    assert covered == set(subs.choices)
 
 
 @pytest.mark.parametrize("name", ["clone-exec", "sim-room", "verify"])

@@ -33,11 +33,10 @@ from replikey.genealogy import (
     record_spawn,
     record_upgrade,
     serialize,
-    serialize_many,
     stats,
 )
 
-from replikey.units import _escape, _shown
+from replikey.units import _Escaped, _escape, _shown
 
 DATA = Path(__file__).parent / "data"
 UTC = datetime.timezone.utc
@@ -996,19 +995,18 @@ def _shared_histories(draw, twins=False):
 
 
 @given(_shared_histories())
-def test_serialize_many_matches_serialize_property(records):
-    texts = serialize_many(records)
+def test_render_matches_serialize_property(records):
+    """One ``_render`` call over records that share events and donor
+    blocks writes each record as ``serialize`` writes it alone, and its
+    escaped pieces as that text escaped whole."""
+    texts = list(map("".join, gen._render(records)))
     assert texts == [serialize(g) for g in records]
     assert texts == [_reference_text(g) for g in records]
+    escaped = list(gen._render(records, escaped=True))
+    assert all(type(pieces) is _Escaped for pieces in escaped)
+    assert list(map("".join, escaped)) == [_escape(text) for text in texts]
     for g, text in zip(records, texts):
         assert _parse_quiet(text) == g
-
-
-def test_serialize_many_accepts_any_iterable():
-    g = Genealogy(events=(birth("2013-02-17 13:01:38+00:00"),))
-    host = record_upgrade(g, g, birth("2013-02-18 09:00:00+00:00"))
-    assert serialize_many(iter([g, host])) == [serialize(g), serialize(host)]
-    assert serialize_many([]) == []
 
 
 def _nesting_levels(text: str) -> list:
@@ -1023,7 +1021,7 @@ def test_serialize_5000_nested_upgrades():
         g = Genealogy(events=(UpgradeEvent(donor=g),))
     inner = g.events[0].donor
     # lengths and levels only: dataclass equality recurses once per level
-    for text, top in zip(serialize_many([g, inner]), (depth, depth - 1)):
+    for text, top in zip(map("".join, gen._render([g, inner])), (depth, depth - 1)):
         lines = text.splitlines()
         assert len(lines) == top + 1
         assert _nesting_levels(text) == list(range(top + 1))
@@ -1041,7 +1039,7 @@ _ESCAPED_HEADER = ProvenanceHeader(
 def test_escaped_render_is_json_of_serialize_property(records):
     odd = Genealogy(_ESCAPED_HEADER, records[-1].events)
     records = [*records, odd, record_upgrade(records[0], odd, birth("2013-05-10 09:00:00+02:00"))]
-    texts = ['"' + "".join(pieces) + '"' for pieces in gen._render(records, _escape, "\\n")]
+    texts = ['"' + "".join(pieces) + '"' for pieces in gen._render(records, escaped=True)]
     assert texts == [json.dumps(serialize(g)) for g in records]
 
 

@@ -150,6 +150,29 @@ def test_manifest_text_round_trip():
     assert back.version is None
 
 
+@given(st.lists(st.text(), min_size=1, max_size=4, unique=True), st.integers(0, 3))
+@example(["/boot/a\u2028b", "\x85", "\x0c\x1c", "/c\v"], 0)
+@example(["/a", ""], 0)
+@example(["/a", "/b\nc"], 0)
+@example(["/a", "/b\r"], 1)
+def test_manifest_text_round_trip_property(paths, boot):
+    """Any path a manifest line can hold reads back as written, with "\\n"
+    or "\\r\\n" line ends; an empty path or one holding "\\n" or "\\r" is
+    refused on writing, so no manifest is written that cannot be read."""
+    man = IntegrityManifest(
+        digests=tuple((p, content_digest(p)) for p in paths),
+        boot_pointer=paths[boot % len(paths)],
+    )
+    if any(not p or "\n" in p or "\r" in p for p in paths):
+        with pytest.raises(ValueError, match="cannot be written on a manifest line"):
+            manifest_to_text(man)
+        return
+    text = manifest_to_text(man)
+    for written in (text, text.replace("\n", "\r\n")):
+        back = manifest_from_text(written)
+        assert (back.digests, back.boot_pointer) == (man.digests, man.boot_pointer)
+
+
 def test_manifest_text_layout():
     man = build_manifest(fresh_key())
     lines = manifest_to_text(man).splitlines()

@@ -24,7 +24,7 @@ from replikey.units import (
     _exact,
     _expect,
     _int_text,
-    _json_text,
+    _json_pieces,
     _load_json,
     _object,
     _shown,
@@ -389,7 +389,7 @@ _documents = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_documents)
 def test_writer_is_json_dumps_byte_for_byte(doc):
-    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert "".join(_json_pieces(doc)) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 @given(st.dictionaries(_text, _text, max_size=4), st.lists(_text, max_size=4))
@@ -399,9 +399,9 @@ def test_writer_inserts_escaped_strings_as_they_are(doc, pieces):
     escaped = {key: _Escaped(list(map(_escape, [value, *pieces]))) for key, value in doc.items()}
     whole = {key: "".join([value, *pieces]) for key, value in doc.items()}
     want = json.dumps({"x": [whole]}, indent=2, sort_keys=True) + "\n"
-    assert _json_text({"x": [escaped]}) == want
+    assert "".join(_json_pieces({"x": [escaped]})) == want
 
 
 def test_writer_refuses_what_json_cannot_hold():
     with pytest.raises(TypeError):
-        _json_text({"x": {1, 2}})
+        _json_pieces({"x": {1, 2}})
