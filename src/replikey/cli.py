@@ -72,14 +72,33 @@ def _load(path: str, read):
     return loaded
 
 
+_GROUP = 4096  # pieces per write when they are small
+_GROUP_CHARS = 1 << 20  # a run of pieces longer than this is written piece by piece
+
+
+def _write(fh, pieces: list) -> None:
+    """Write ``pieces`` to the text stream ``fh`` in runs of ``_GROUP``:
+    a run of fewer than ``_GROUP_CHARS`` characters joined into one
+    write, a longer one, which holds a large piece, a piece at a time.
+    Small pieces then pay one write call per run, not one each, and no
+    join copies a large piece."""
+    for start in range(0, len(pieces), _GROUP):
+        run = pieces[start : start + _GROUP]
+        if sum(map(len, run)) < _GROUP_CHARS:
+            fh.write("".join(run))
+        else:
+            fh.writelines(run)
+
+
 def _emit(pieces: list, out_path):
-    """Write a handler's str pieces, all built before the file opens, unjoined."""
+    """Write a handler's str pieces, all built before the file opens,
+    never joined into one document."""
     if out_path in (None, "-"):
-        sys.stdout.writelines(pieces)
+        _write(sys.stdout, pieces)
         return
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
+            _write(fh, pieces)
     except OSError as exc:
         raise CliError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
 

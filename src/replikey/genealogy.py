@@ -31,7 +31,7 @@ import re
 import warnings
 from dataclasses import dataclass, replace
 
-from .units import _Escaped, _count, _escape, _int_text, _shown
+from .units import _Escaped, _count, _escape, _expect, _int_text, _shown
 
 __all__ = [
     "EventKind",
@@ -201,6 +201,7 @@ class UpgradeEvent:
         provenance = self.donor.provenance
         if self.donor_has_provenance is None:
             object.__setattr__(self, "donor_has_provenance", provenance is not None)
+        _expect("donor_has_provenance", self.donor_has_provenance, bool)
         if self.donor_has_provenance and provenance is None:
             raise ValueError("donor_has_provenance requires a donor provenance header")
         if not self.donor_has_provenance and provenance is not None and (
@@ -212,19 +213,31 @@ class UpgradeEvent:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Genealogy:
     """An immutable genealogy record: optional provenance header plus an
-    ordered run of events (births, spawns, embedded upgrades)."""
+    ordered run of events (births, spawns, embedded upgrades), given as
+    any iterable of them.  The record operations build the records they
+    return without this check, having checked the events they add."""
 
     provenance: ProvenanceHeader | None = None
     events: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "events", tuple(self.events))
-        for ev in self.events:
+        if self.provenance is not None:
+            _expect("provenance", self.provenance, ProvenanceHeader)
+        try:
+            events = tuple(self.events)
+        except TypeError:
+            raise ValueError(f"events: expected an iterable, got {_shown(self.events)}") from None
+        for ev in events:
             if not isinstance(ev, (GenealogyEvent, UpgradeEvent)):
-                raise ValueError(f"unexpected event type: {ev!r}")
+                raise ValueError(f"events: unexpected event type: {_shown(ev)}")
+        object.__setattr__(self, "events", events)
+
+
+# the slots' own setters, which build a record without its check
+_set_provenance, _set_events = Genealogy.provenance.__set__, Genealogy.events.__set__
 
 
 @dataclass(frozen=True)
@@ -468,12 +481,17 @@ def serialize(g: Genealogy) -> str:
 
 def _append(g: Genealogy, name: str, ev, kind: EventKind, *before) -> Genealogy:
     """``g`` extended by ``before`` and then ``ev``, which must be a
-    ``kind`` event, else a ValueError naming it ``name``."""
+    ``kind`` event, else a ValueError naming it ``name``.  ``g`` is a
+    checked record and ``before`` holds checked events, so only ``ev``
+    is checked: an append costs a tuple copy, not a check of every event."""
     if not isinstance(ev, GenealogyEvent) or ev.kind is not kind:
         raise ValueError(f"{name} must be a {kind.name.title()} event, got {_shown(ev)}")
     if not isinstance(g, Genealogy):
         raise ValueError(f"expected a Genealogy to extend, got {_shown(g)}")
-    return Genealogy(g.provenance, g.events + (*before, ev))
+    out = object.__new__(Genealogy)
+    _set_provenance(out, g.provenance)
+    _set_events(out, g.events + (*before, ev))
+    return out
 
 
 def record_birth(g: Genealogy, ev: GenealogyEvent) -> Genealogy:

@@ -17,7 +17,6 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import itemgetter
 
 from . import genealogy as gen
 from .units import KIB, MB, _at, _count, _exact, _expect, _json_pieces, _load_json, _object
@@ -121,6 +120,13 @@ class FileEntry:
             raise ValueError(f"file_class must be a FileClass, got {self.file_class!r}")
 
 
+def _check_path(name: str, path) -> str:
+    """``path`` if it is a non-empty str, else a ValueError naming ``name``."""
+    if not _expect(name, path, str):
+        raise ValueError(f"{name}: expected a non-empty path, got ''")
+    return path
+
+
 def _check_share_prefix(prefix) -> None:
     if not isinstance(prefix, str) or not prefix.endswith("/"):
         raise ValueError(f"share_prefix must end with '/': {_shown(prefix)}")
@@ -145,13 +151,14 @@ class ImageManifest:
         _count("image_bytes", self.image_bytes, 1)
         _check_share_prefix(self.share_prefix)
         for path in self.whitelist:
+            _check_path("whitelist path", path)
             if path.startswith(self.share_prefix):
                 raise ValueError(
                     f"whitelist path {path!r} lies inside share prefix {self.share_prefix!r}"
                 )
         if self.boot_path is None:
             object.__setattr__(self, "boot_path", min(self.whitelist))
-        elif self.boot_path not in self.whitelist:
+        elif _check_path("boot_path", self.boot_path) not in self.whitelist:
             raise ValueError("boot_path must be a whitelisted path")
 
 
@@ -173,7 +180,8 @@ class KeyState:
 
     def __post_init__(self):
         items = self.files.items() if isinstance(self.files, dict) else self.files
-        object.__setattr__(self, "files", tuple(sorted(items, key=itemgetter(0))))
+        files = sorted(items, key=lambda item: _check_path("file path", item[0]))
+        object.__setattr__(self, "files", tuple(files))
         _expect("version", self.version, gen.ProvenanceHeader)
         if self.locale is None:
             object.__setattr__(self, "locale", self.version.locale)
@@ -200,7 +208,7 @@ class KeyState:
                 f"files total {_shown(total)} bytes exceed capacity "
                 f"{_shown(self.capacity_kib * KIB)} bytes"
             )
-        if self.boot_path not in seen:
+        if _check_path("boot_path", self.boot_path) not in seen:
             raise ValueError(f"boot_path {self.boot_path!r} is not a file on the key")
 
     # -- convenience views ---------------------------------------------

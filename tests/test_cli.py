@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import replikey
+from replikey import cli
 from replikey import genealogy as gen
 from replikey import integrity as integ
 from replikey import replicator as rep
@@ -823,12 +824,13 @@ def test_verify_unknown_device(capsys, inventory_file, tmp_path):
 def test_manifest_of_any_path_is_read_by_verify_or_refused(capsys, tmp_path, path):
     """A system path holding a character ``str.splitlines`` breaks at,
     other than "\\n" and "\\r", gets a manifest that verify reads; an
-    empty path gets no manifest file at all."""
-    manifest = rep.ImageManifest(
-        version=V0,
-        whitelist=frozenset({"/live/filesystem.squashfs", path}),
-        image_bytes=2_700_000_000,
-    )
+    empty path is refused where the image is built, so no key holds one."""
+    whitelist = frozenset({"/live/filesystem.squashfs", path})
+    if not path:
+        with pytest.raises(ValueError, match="^whitelist path: expected a non-empty path, got ''$"):
+            rep.ImageManifest(version=V0, whitelist=whitelist, image_bytes=2_700_000_000)
+        return
+    manifest = rep.ImageManifest(version=V0, whitelist=whitelist, image_bytes=2_700_000_000)
     key = rep.KeyState.from_manifest(manifest, 7_812_500, T0)
     assert key.boot_path == path
     inventory = tmp_path / "inv.json"
@@ -836,11 +838,6 @@ def test_manifest_of_any_path_is_read_by_verify_or_refused(capsys, tmp_path, pat
     inventory.write_text(rep.inventory_to_json([device]))
     ref = tmp_path / "ref.txt"
     code, out, err = run(capsys, "manifest", "--inventory", str(inventory), "-o", str(ref))
-    if not path:
-        assert (code, out) == (1, "")
-        assert err == "error: path '' cannot be written on a manifest line\n"
-        assert not ref.exists()
-        return
     assert (code, out, err) == (0, "", "")
     code, out, err = run(capsys, "verify", "--inventory", str(inventory), "--reference", str(ref))
     assert (code, out, err) == (0, "verdict=pass\n", "")
@@ -1328,6 +1325,22 @@ def test_an_inventory_value_its_type_refuses_names_the_item(capsys, tmp_path, do
     assert err == f"error: {path}: {problem}\n"
 
 
+@pytest.mark.parametrize("command", ["manifest", "clone-plan", "clone-exec"])
+def test_an_empty_file_path_in_an_inventory_is_one_error_line(capsys, tmp_path, command):
+    doc = _master_doc()
+    doc["devices"][0]["key"]["files"][""] = {"size": 1, "class": "personal"}
+    path = tmp_path / "inventory.json"
+    path.write_text(json.dumps(doc))
+    out_file = tmp_path / "out"
+    argv = [command, "--inventory", str(path), "-o", str(out_file)]
+    if command == "clone-exec":
+        argv += ["--at", _AT.isoformat(" ")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: devices[0].key: file path: expected a non-empty path, got ''\n"
+    assert not out_file.exists()
+
+
 def test_long_integers_in_capacity_texts_stay_one_short_line(capsys, tmp_path):
     """The files-over-capacity text of a key shows long integers by their
     length."""
@@ -1473,6 +1486,47 @@ def test_a_handler_failing_after_its_input_is_read_writes_no_file(
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out_file.exists()
+
+
+def _emit_cases():
+    group, bound = cli._GROUP, cli._GROUP_CHARS
+    tiny = ["{", "\n  ", '"key-0100"', ": ", "1", ",\n    "]
+    return {
+        "empty": [],
+        "tiny": tiny * (group + 5),  # several runs, the last one short
+        "large-between-small": ["a"] * (group - 3) + ["b" * (2 << 20)] + ["c"] * group,
+        # runs just under and just over the bound: one write, then a piece at a time
+        "near-the-bound": ["d" * (bound // group - 1)] * group + ["e" * (bound // group + 1)] * group,
+        "non-ascii": ["p Sage 5.6 Débian Live 日本語\n", "\u2028", "é" * 300] * (group // 2),
+    }
+
+
+@pytest.mark.parametrize("name", list(_emit_cases()))
+@pytest.mark.parametrize("target", ["file", "-", None])
+def test_emit_writes_the_pieces_joined(capsysbinary, tmp_path, name, target):
+    pieces = _emit_cases()[name]
+    out_file = tmp_path / "out"
+    cli._emit(pieces, str(out_file) if target == "file" else target)
+    written = out_file.read_bytes() if target == "file" else capsysbinary.readouterr().out
+    assert written == "".join(pieces).encode("utf-8")
+
+
+def test_emit_peaks_below_a_few_groups_on_a_room_document(tmp_path):
+    """A document of many small pieces is written a run at a time, never
+    joined whole: an 8,192-key room document, many times the group bound,
+    is written in a few times that bound."""
+    args = build_parser().parse_args(["sim-room", "--n", "8192"])
+    pieces = args.handler(args)
+    out_file = tmp_path / "room.json"
+    cli._emit(pieces, str(out_file))  # imports and caches warm
+    tracemalloc.start()
+    try:
+        cli._emit(pieces, str(out_file))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out_file.stat().st_size > 8 * cli._GROUP_CHARS
+    assert peak < 3 * cli._GROUP_CHARS
 
 
 def test_sim_redeploy_peak_memory_stays_below_its_output(tmp_path):

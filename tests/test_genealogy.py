@@ -733,6 +733,53 @@ def test_record_operations_refuse_a_non_genealogy():
         record_upgrade(Genealogy(), "x", birth("2013-02-17 13:01:38+00:00"))
 
 
+@pytest.mark.parametrize(
+    "build, problem",
+    [
+        (lambda: Genealogy(provenance="x"), "provenance: expected a ProvenanceHeader, got 'x'"),
+        (lambda: Genealogy(events=5), "events: expected an iterable, got 5"),
+        (lambda: Genealogy(events=["x"]), "events: unexpected event type: 'x'"),
+        (
+            lambda: UpgradeEvent(Genealogy(events=[birth("2013-02-17 13:01:38+00:00")]), "no"),
+            "donor_has_provenance: expected true or false, got 'no'",
+        ),
+    ],
+)
+def test_record_constructors_refuse_a_field_by_name(build, problem):
+    """Each field of a record is checked where the record is built, so a
+    record that is built is one ``serialize`` writes and ``parse`` reads back."""
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == problem
+
+
+_T0 = datetime.datetime(2013, 2, 17, 13, 1, 38, tzinfo=UTC)
+
+
+def test_8000_appends_check_only_the_events_they_add(monkeypatch):
+    """An append checks the events it adds, never the record it extends:
+    no ``Genealogy`` check runs, and each event is checked once, when
+    built."""
+    g = Genealogy(events=(GenealogyEvent(EventKind.BIRTH, _T0, "fr_FR.UTF-8", 4023296),))
+    built = dict.fromkeys((Genealogy, GenealogyEvent), 0)
+    for cls in built:
+
+        def counting(self, _check=cls.__post_init__, _cls=cls):
+            built[_cls] += 1
+            _check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    operations = (record_spawn, record_birth, child_genealogy, record_spawn)
+    for i in range(8000):
+        append = operations[i % 4]
+        kind = EventKind.SPAWN if append is record_spawn else EventKind.BIRTH
+        when = _T0 + datetime.timedelta(seconds=i + 1)
+        g = append(g, GenealogyEvent(kind, when, "fr_FR.UTF-8", 4023296))
+    assert built == {Genealogy: 0, GenealogyEvent: 8000}
+    assert len(g.events) == 8001 and type(g.events) is tuple
+    assert stats(g).spawn_count == 4000
+
+
 @pytest.mark.parametrize("field", ["capacity", "batch_count"])
 def test_long_integers_in_event_texts_stay_one_short_line(field):
     """An event line whose capacity or batch is a long negative number is
@@ -850,6 +897,58 @@ def _parse_quiet(text):
 
 @given(_genealogies)
 def test_round_trip_property(g):
+    assert _parse_quiet(serialize(g)) == g
+
+
+_births = _event.map(lambda e: dataclasses.replace(e, kind=EventKind.BIRTH))
+_spawns = _event.map(lambda e: dataclasses.replace(e, kind=EventKind.SPAWN))
+_donors = _records(1).filter(lambda g: g.provenance is not None or g.events)
+
+
+@st.composite
+def _appended(draw):
+    """A record grown from a drawn one by a drawn run of record
+    operations, and the record the constructor builds from the events
+    each operation adds."""
+    g = expected = draw(_records(1))
+    for op in draw(st.lists(st.sampled_from(("birth", "spawn", "upgrade", "child", "transfer")),
+                            max_size=12)):
+        if op in ("birth", "spawn", "child"):
+            ev = draw(_spawns if op == "spawn" else _births)
+            append = {"birth": record_birth, "spawn": record_spawn, "child": child_genealogy}[op]
+            g, expected = append(g, ev), Genealogy(expected.provenance, [*expected.events, ev])
+        elif op == "upgrade":
+            own = (g.provenance is not None or g.events) and draw(st.booleans())
+            donor, ref_donor = (g, expected) if own else (draw(_donors),) * 2
+            b = draw(_births)
+            g = record_upgrade(g, donor, b)
+            expected = Genealogy(expected.provenance, [*expected.events, UpgradeEvent(ref_donor), b])
+        else:
+            tgt, ref_tgt = draw(st.sampled_from(((None, None), (g, expected)))
+                                | _records(1).map(lambda t: (t, t)))
+            spawn, b = draw(_spawns), draw(_births)
+            src_after, new_log = gen._transfer(g, tgt, spawn, b)
+            ref_src = Genealogy(expected.provenance, [*expected.events, spawn])
+            if draw(st.booleans()):
+                g, expected = src_after, ref_src
+            elif tgt is None:
+                g, expected = new_log, Genealogy(ref_src.provenance, [*ref_src.events, b])
+            else:
+                g = new_log
+                expected = Genealogy(ref_tgt.provenance, [*ref_tgt.events, UpgradeEvent(ref_src), b])
+    return g, expected
+
+
+@given(_appended())
+def test_appends_match_the_checked_record_property(case):
+    """A record the record operations build without the constructor's
+    check is the record the constructor builds from the same events:
+    equal, of equal hash, and written, counted and linted alike."""
+    g, expected = case
+    assert type(g) is Genealogy and type(g.events) is tuple
+    assert g == expected and hash(g) == hash(expected)
+    assert serialize(g) == serialize(expected)
+    assert stats(g) == stats(expected) and lint(g) == lint(expected)
     assert _parse_quiet(serialize(g)) == g
 
 

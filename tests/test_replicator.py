@@ -152,6 +152,34 @@ def test_manifest_rejects_empty_whitelist():
         ImageManifest(VERSION, frozenset(), 1000)
 
 
+@pytest.mark.parametrize(
+    "build, problem",
+    [
+        (lambda: manifest(paths={"/live/vmlinuz", ""}), "whitelist path: expected a non-empty path, got ''"),
+        (lambda: manifest(paths={"/live/vmlinuz", 5}), "whitelist path: expected a string, got 5"),
+        (
+            lambda: ImageManifest(VERSION, frozenset({"/live/vmlinuz"}), 1000, boot_path=[]),
+            "boot_path: expected a string, got []",
+        ),
+        (
+            lambda: master().with_file("", FileEntry(1, FileClass.PERSONAL)),
+            "file path: expected a non-empty path, got ''",
+        ),
+        (
+            lambda: master().with_file(5, FileEntry(1, FileClass.PERSONAL)),
+            "file path: expected a string, got 5",
+        ),
+        (lambda: dataclasses.replace(master(), boot_path=[]), "boot_path: expected a string, got []"),
+    ],
+)
+def test_a_path_that_is_empty_or_not_a_string_is_refused(build, problem):
+    """A path is refused where an image or a key is built, before it can
+    be compared with another path or picked as the boot file."""
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == problem
+
+
 # ---------------------------------------------------------------------------
 # plan_clone
 
